@@ -351,15 +351,38 @@ struct Engine::Impl {
     uint64_t i = 0, j = 0;
     support::IntervalSet points;
   };
-  std::map<ir::IntersectId, std::vector<PairInfo>> tables_;
-  std::map<ir::IntersectId, uint64_t> table_src_colors_;
-  std::map<ir::IntersectId, uint64_t> table_complete_intervals_;
+  // A copy's (src color, dst color) pairs, plus their issue-ownership
+  // buckets: buckets[x] lists, in table order, the indices of the pairs
+  // shard x issues. A pair's issuer is the blocked owner of its source
+  // color (paper §3.4; the same math as passes::shard_block) —
+  // deliberately NOT a mapper decision, so a non-default mapper changes
+  // placement, never issue ownership. by_shard() builds the buckets the
+  // first time a sharded context reads the table, so each shard walks
+  // only its own pairs instead of filtering the whole table per issue.
+  struct PairTable {
+    std::vector<PairInfo> pairs;
+    uint64_t src_colors = 1;
+    using Buckets = std::vector<std::vector<uint32_t>>;
+    Buckets buckets;
+
+    const Buckets& by_shard(uint32_t num_shards) {
+      if (buckets.size() != num_shards) {
+        buckets.assign(num_shards, {});
+        for (uint32_t k = 0; k < pairs.size(); ++k) {
+          buckets[rt::block_owner(pairs[k].i, src_colors, num_shards)]
+              .push_back(k);
+        }
+      }
+      return buckets;
+    }
+  };
+  std::map<ir::IntersectId, PairTable> tables_;
   // Region geometry is immutable once the forest is built, so complete
   // intersections and per-statement pair tables are computed once and
   // reused across loop iterations / shards. Host-side only: the pair
   // list (and its issue charges) is identical with or without the cache.
   rt::IntersectionCache isect_cache_;
-  std::map<const ir::Stmt*, std::vector<PairInfo>> copy_pairs_cache_;
+  std::map<const ir::Stmt*, PairTable> copy_pairs_cache_;
 
   // --- scalar reduction partials ------------------------------------------
 
@@ -654,6 +677,19 @@ struct Engine::Impl {
                  "shard body reached in implicit mode");
     CR_CHECK(main.size() == 1);
     const uint32_t num_shards = s.num_shards;
+    // Per-shard cost of the complete intersections for owned pairs
+    // (paper §3.3: computed inside the individual shards).
+    std::vector<double> complete_ns(num_shards, 0.0);
+    for (auto& [id, table] : tables_) {
+      const auto& buckets = table.by_shard(num_shards);
+      for (uint32_t x = 0; x < num_shards; ++x) {
+        for (uint32_t k : buckets[x]) {
+          complete_ns[x] +=
+              cost_.isect_complete_per_interval_ns *
+              static_cast<double>(table.pairs[k].points.interval_count());
+        }
+      }
+    }
     std::vector<Ctx> shards(num_shards);
     for (uint32_t x = 0; x < num_shards; ++x) {
       shards[x].shard = x;
@@ -668,34 +704,14 @@ struct Engine::Impl {
       // remote shard is a real network dispatch: localize the handoff so
       // the shard's control chain starts on its own node (and worker).
       shards[x].last = localize(main[0].last, main[0].node, shards[x].node);
-      // Per-shard cost of the complete intersections for owned pairs
-      // (paper §3.3: computed inside the individual shards).
-      double complete_ns = 0;
-      for (const auto& [id, pairs] : tables_) {
-        const uint64_t src_colors = table_src_colors_.at(id);
-        for (const PairInfo& pi : pairs) {
-          if (owner_shard(pi.i, src_colors, num_shards) == x) {
-            complete_ns += cost_.isect_complete_per_interval_ns *
-                           static_cast<double>(pi.points.interval_count());
-          }
-        }
+      if (complete_ns[x] > 0) {
+        charge(shards[x], complete_ns[x], "isect:complete");
       }
-      if (complete_ns > 0) charge(shards[x], complete_ns, "isect:complete");
     }
     exec_body(s.body, shards, num_shards);
     // The main task resumes after the shard launch itself (deferred); the
     // finalization copies it issues synchronize through instance events.
     charge(main[0], cost_.single_task_issue_ns, "resume");
-  }
-
-  // Which shard issues the operation for `color`: the blocked launch
-  // ownership of paper §3.5 (the same math as passes::shard_block).
-  // Deliberately NOT a mapper decision — shards own contiguous color
-  // blocks regardless of where the mapper executes the tasks, so a
-  // non-default mapper changes placement, never issue ownership.
-  static uint32_t owner_shard(uint64_t color, uint64_t colors,
-                              uint32_t num_shards) {
-    return rt::block_owner(color, colors, num_shards);
   }
 
   // --- launches --------------------------------------------------------------
@@ -1033,18 +1049,22 @@ struct Engine::Impl {
 
   // --- copies -----------------------------------------------------------------
 
-  const std::vector<PairInfo>& copy_pairs(const ir::Stmt& s) {
+  PairTable& copy_pairs(const ir::Stmt& s) {
     if (s.isect != ir::kNoIntersect) return tables_.at(s.isect);
     auto [it, inserted] = copy_pairs_cache_.try_emplace(&s);
-    if (!inserted) return it->second;
-    std::vector<PairInfo>& pairs = it->second;
+    PairTable& table = it->second;
+    if (!inserted) return table;
+    if (s.copy_src != rt::kNoId) {
+      table.src_colors = forest().partition(s.copy_src).subregions.size();
+    }
+    std::vector<PairInfo>& pairs = table.pairs;
     if (s.src_root != rt::kNoId) {
       const rt::PartitionNode& pn = forest().partition(s.copy_dst);
       for (uint64_t j = 0; j < pn.subregions.size(); ++j) {
         pairs.push_back(
             {0, j, forest().region(pn.subregions[j]).ispace.points()});
       }
-      return pairs;
+      return table;
     }
     if (s.dst_root != rt::kNoId) {
       const rt::PartitionNode& pn = forest().partition(s.copy_src);
@@ -1052,7 +1072,7 @@ struct Engine::Impl {
         pairs.push_back(
             {i, 0, forest().region(pn.subregions[i]).ispace.points()});
       }
-      return pairs;
+      return table;
     }
     // All-pairs form (paper §3.3's O(N^2) baseline; empty pairs still
     // cost issue overhead, so every (i, j) keeps its PairInfo). The
@@ -1077,25 +1097,21 @@ struct Engine::Impl {
         pairs.push_back(std::move(pi));
       }
     }
-    return pairs;
+    return table;
   }
 
   void exec_copy(const ir::Stmt& s, std::vector<Ctx>& ctxs,
                  uint32_t num_shards) {
-    const std::vector<PairInfo>& pairs = copy_pairs(s);
-    const uint64_t src_colors =
-        s.copy_src == rt::kNoId
-            ? 1
-            : forest().partition(s.copy_src).subregions.size();
+    PairTable& table = copy_pairs(s);
     for (Ctx& ctx : ctxs) {
-      for (const PairInfo& pi : pairs) {
-        // Sharded execution: the producer shard issues the copy
-        // (sequential semantics on the producer side, paper §3.4).
-        if (ctx.shard != kMainEnv && s.copy_src != rt::kNoId &&
-            owner_shard(pi.i, src_colors, num_shards) != ctx.shard) {
-          continue;
+      // Sharded execution: the producer shard issues the copy
+      // (sequential semantics on the producer side, paper §3.4).
+      if (ctx.shard != kMainEnv && s.copy_src != rt::kNoId) {
+        for (uint32_t k : table.by_shard(num_shards)[ctx.shard]) {
+          issue_one_copy(s, table.pairs[k], ctx);
         }
-        issue_one_copy(s, pi, ctx);
+      } else {
+        for (const PairInfo& pi : table.pairs) issue_one_copy(s, pi, ctx);
       }
     }
   }
@@ -1335,9 +1351,8 @@ struct Engine::Impl {
       if (!pi.points.empty()) infos.push_back(std::move(pi));
     }
     result_.intersection_pairs += infos.size();
-    tables_[s.isect_id] = std::move(infos);
-    table_src_colors_[s.isect_id] = ps.subregions.size();
-    table_complete_intervals_[s.isect_id] = complete_intervals;
+    tables_[s.isect_id] =
+        PairTable{std::move(infos), ps.subregions.size(), {}};
 
     // The shallow pass runs on the issuing node (paper: a single node);
     // the complete sets are charged per shard at shard start for SPMD,

@@ -1,5 +1,8 @@
 #include "passes/sync_insertion.h"
 
+#include <utility>
+#include <vector>
+
 namespace cr::passes {
 
 namespace {
@@ -29,10 +32,12 @@ bool fields_overlap(const std::vector<rt::FieldId>& a,
 // inter-shard copy touches. `aligned` marks identity-projection
 // index-launch arguments on disjoint partitions — the one case where
 // the accessing shard is statically known (point i runs on the shard
-// owning color i).
+// owning color i). `fields` is a copy, not a pointer into the statement:
+// a loop body's own accesses sit in the prefix its processing sees, and
+// inserting barriers into that body moves its statements.
 struct PriorAccess {
   rt::PartitionId partition = rt::kNoId;
-  const std::vector<rt::FieldId>* fields = nullptr;  // null = all fields
+  std::vector<rt::FieldId> fields;
   bool write = false;  // any non-read privilege
   bool aligned = false;
 };
@@ -151,12 +156,12 @@ class SyncInserter {
         for (const ir::RegionArg& a : s.args) {
           PriorAccess pa;
           pa.partition = a.partition;
-          pa.fields = &a.fields;
+          pa.fields = a.fields;
           pa.write = a.privilege != rt::Privilege::kReadOnly;
           pa.aligned =
               a.proj.identity() && f.partition(a.partition).disjoint &&
               s.launch_colors == f.partition(a.partition).subregions.size();
-          out.push_back(pa);
+          out.push_back(std::move(pa));
         }
         break;
       case ir::StmtKind::kSingleTask:
@@ -167,24 +172,24 @@ class SyncInserter {
         if (s.copy_src != rt::kNoId) {
           PriorAccess src;
           src.partition = s.copy_src;
-          src.fields = &s.copy_fields;
-          out.push_back(src);
+          src.fields = s.copy_fields;
+          out.push_back(std::move(src));
         }
         if (s.copy_dst != rt::kNoId) {
           PriorAccess dst;
           dst.partition = s.copy_dst;
-          dst.fields = &s.copy_fields;
+          dst.fields = s.copy_fields;
           dst.write = true;
-          out.push_back(dst);
+          out.push_back(std::move(dst));
         }
         break;
       }
       case ir::StmtKind::kFill: {
         PriorAccess pa;
         pa.partition = s.fill_dst;
-        pa.fields = &s.fill_fields;
+        pa.fields = s.fill_fields;
         pa.write = true;
-        out.push_back(pa);
+        out.push_back(std::move(pa));
         break;
       }
       case ir::StmtKind::kForTime:
@@ -207,7 +212,7 @@ class SyncInserter {
   // the destination writes can cross shards.
   bool cross_shard_conflict(const PriorAccess& a, const ir::Stmt& c) const {
     if (a.partition == rt::kNoId) return false;  // master instances
-    if (a.fields != nullptr && !fields_overlap(*a.fields, c.copy_fields)) {
+    if (!fields_overlap(a.fields, c.copy_fields)) {
       return false;
     }
     // Destination writes land on the producer shard, not the owner of

@@ -63,6 +63,9 @@ HostProfile HostProfiler::profile() const {
   out.worker_busy_ns.assign(workers_, 0);
   out.worker_recorded_ns.assign(workers_, 0);
 
+  // One pass over every lane: phase totals, per-worker totals, and the
+  // per-window busy sums the rows below pick up.
+  std::map<uint64_t, uint64_t> window_busy;
   for (uint32_t w = 0; w < workers_; ++w) {
     for (const HostSpan& s : lanes_[w]) {
       out.phase_ns[static_cast<size_t>(s.phase)] +=
@@ -71,6 +74,7 @@ HostProfile HostProfiler::profile() const {
       if (s.phase == HostPhase::kLaneDrain ||
           s.phase == HostPhase::kOutboxFlush) {
         out.worker_busy_ns[w] += s.duration();
+        window_busy[s.window] += s.duration();
       }
     }
   }
@@ -108,14 +112,8 @@ HostProfile HostProfiler::profile() const {
       out.window_rows.push_back(r);
     }
     for (HostWindowRow& r : out.window_rows) {
-      for (uint32_t w = 0; w < workers_; ++w) {
-        for (const HostSpan& s : lanes_[w]) {
-          if (s.window == r.window && (s.phase == HostPhase::kLaneDrain ||
-                                       s.phase == HostPhase::kOutboxFlush)) {
-            r.busy_ns += s.duration();
-          }
-        }
-      }
+      auto busy = window_busy.find(r.window);
+      if (busy != window_busy.end()) r.busy_ns = busy->second;
       out.window_span_hist.record(r.parallel_span_ns);
       out.window_busy_hist.record(r.busy_ns);
     }

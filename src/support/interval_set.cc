@@ -52,19 +52,67 @@ IntervalSet IntervalSet::set_union(const IntervalSet& other) const {
   return out;
 }
 
+namespace {
+
+// The search half of gallop(): given v[lo].hi <= key, the first index
+// k > lo with v[k].hi > key (or v.size() if none). Interval ends
+// strictly increase in a coalesced set, so this is an exponential probe
+// followed by a binary search of the last doubling: O(log d) to skip d
+// intervals.
+size_t gallop_search(const std::vector<Interval>& v, size_t lo,
+                     uint64_t key) {
+  const size_t n = v.size();
+  size_t step = 1;
+  while (lo + step < n && v[lo + step].hi <= key) {
+    lo += step;
+    step *= 2;
+  }
+  size_t hi = std::min(lo + step, n);  // v[hi].hi > key, or hi == n
+  while (hi - lo > 1) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (v[mid].hi <= key) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return hi;
+}
+
+// Moves a cursor that is behind (v[i].hi <= key) to the first interval
+// ending after key. The first probe is the linear merge's own step and
+// stays inline, so interleaved inputs of equal size pay no search.
+inline size_t gallop(const std::vector<Interval>& v, size_t i, uint64_t key) {
+  ++i;
+  if (i == v.size() || v[i].hi > key) return i;
+  return gallop_search(v, i, key);
+}
+
+}  // namespace
+
+// The three merges below share one rule: a cursor that is behind (its
+// interval ends at or before the other side's current start) gallops
+// past everything that cannot meet the other side, so a tile-sized set
+// meets a whole-boundary set in O(|small| log(|large| / |small|) +
+// output) instead of a scan of the large side.
 IntervalSet IntervalSet::set_intersect(const IntervalSet& other) const {
   IntervalSet out;
   size_t i = 0, j = 0;
   const auto& a = ivs_;
   const auto& b = other.ivs_;
   while (i < a.size() && j < b.size()) {
-    const uint64_t lo = std::max(a[i].lo, b[j].lo);
-    const uint64_t hi = std::min(a[i].hi, b[j].hi);
-    if (lo < hi) out.ivs_.push_back({lo, hi});
-    if (a[i].hi < b[j].hi) {
-      ++i;
+    if (a[i].hi <= b[j].lo) {
+      i = gallop(a, i, b[j].lo);
+    } else if (b[j].hi <= a[i].lo) {
+      j = gallop(b, j, a[i].lo);
     } else {
-      ++j;
+      out.ivs_.push_back({std::max(a[i].lo, b[j].lo),
+                          std::min(a[i].hi, b[j].hi)});
+      if (a[i].hi < b[j].hi) {
+        ++i;
+      } else {
+        ++j;
+      }
     }
   }
   return out;
@@ -72,10 +120,14 @@ IntervalSet IntervalSet::set_intersect(const IntervalSet& other) const {
 
 IntervalSet IntervalSet::set_subtract(const IntervalSet& other) const {
   IntervalSet out;
-  size_t j = 0;
+  const auto& a = ivs_;
   const auto& b = other.ivs_;
-  for (Interval iv : ivs_) {
-    while (j < b.size() && b[j].hi <= iv.lo) ++j;
+  size_t j = 0;
+  for (size_t i = 0; i < a.size();) {
+    const Interval iv = a[i];
+    if (j < b.size() && b[j].hi <= iv.lo) j = gallop(b, j, iv.lo);
+    // Cut every b interval that meets iv out of it; each cut but the
+    // last leaves a piece of output.
     uint64_t lo = iv.lo;
     size_t k = j;
     while (k < b.size() && b[k].lo < iv.hi) {
@@ -84,7 +136,14 @@ IntervalSet IntervalSet::set_subtract(const IntervalSet& other) const {
       if (lo >= iv.hi) break;
       ++k;
     }
-    if (lo < iv.hi) out.ivs_.push_back({lo, iv.hi});
+    if (lo < iv.hi) {
+      out.ivs_.push_back({lo, iv.hi});
+      ++i;
+    } else {
+      // b[k] covers the rest of iv and every later a interval that ends
+      // by b[k].hi.
+      i = gallop(a, i, b[k].hi);
+    }
   }
   return out;
 }
@@ -108,9 +167,9 @@ bool IntervalSet::overlaps(const IntervalSet& other) const {
   const auto& b = other.ivs_;
   while (i < a.size() && j < b.size()) {
     if (a[i].hi <= b[j].lo) {
-      ++i;
+      i = gallop(a, i, b[j].lo);
     } else if (b[j].hi <= a[i].lo) {
-      ++j;
+      j = gallop(b, j, a[i].lo);
     } else {
       return true;
     }

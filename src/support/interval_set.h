@@ -4,8 +4,8 @@
 // segments) and unstructured node/cell sets alike — is represented as an
 // IntervalSet. All the set algebra the paper's analyses need (region
 // intersection for copies, disjointness for the region tree, image
-// computation for dependent partitioning) reduces to linear-time merges
-// over this representation.
+// computation for dependent partitioning) reduces to merges over this
+// representation.
 #pragma once
 
 #include <cstdint>
@@ -34,14 +34,17 @@ class IntervalSet {
   // From arbitrary (possibly unsorted, duplicated) points.
   static IntervalSet from_points(std::vector<uint64_t> points);
 
-  // Set algebra; all O(|a| + |b|) in interval counts.
+  // Set algebra, in interval counts with m = min(|a|, |b|) and
+  // n = max(|a|, |b|): union is O(|a| + |b|); intersect, subtract and
+  // overlaps gallop over the larger side, O(m log(n / m) + output), so
+  // a small set against a huge one never scans the huge one.
   IntervalSet set_union(const IntervalSet& other) const;
   IntervalSet set_intersect(const IntervalSet& other) const;
   IntervalSet set_subtract(const IntervalSet& other) const;
 
   // Predicates.
   bool contains(uint64_t point) const;          // O(log n)
-  bool contains_all(const IntervalSet& other) const;
+  bool contains_all(const IntervalSet& other) const;  // via set_subtract
   bool overlaps(const IntervalSet& other) const;
   bool disjoint(const IntervalSet& other) const { return !overlaps(other); }
   bool empty() const { return ivs_.empty(); }

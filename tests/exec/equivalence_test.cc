@@ -3,6 +3,11 @@
 // sequential oracle produces, across machine shapes and pipeline options.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "exec/sequential_exec.h"
 #include "exec/spmd_exec.h"
 #include "testing/fig2.h"
@@ -17,9 +22,64 @@ struct Shape {
   uint64_t steps;
 };
 
+// Brute-force copy-pair counts of a transformed program: every dynamic
+// execution of every copy statement issues each of its (src, dst)
+// subregion pairs exactly once, whichever shard issues it. A copy
+// restricted to an intersection table moves only its overlapping pairs;
+// the all-pairs and root forms also pay for the empty ones, as skips.
+struct PairCounts {
+  uint64_t issued = 0;
+  uint64_t skipped = 0;
+};
+
+std::vector<std::set<uint64_t>> copy_side(const rt::RegionForest& forest,
+                                          rt::PartitionId part,
+                                          rt::RegionId root) {
+  std::vector<rt::RegionId> regions{root};
+  if (part != rt::kNoId) regions = forest.partition(part).subregions;
+  std::vector<std::set<uint64_t>> out;
+  for (rt::RegionId r : regions) {
+    std::set<uint64_t>& pts = out.emplace_back();
+    forest.region(r).ispace.points().for_each_point(
+        [&](uint64_t p) { pts.insert(p); });
+  }
+  return out;
+}
+
+void count_pairs(const rt::RegionForest& forest,
+                 const std::vector<ir::Stmt>& body, uint64_t times,
+                 PairCounts& out) {
+  for (const ir::Stmt& s : body) {
+    if (s.kind == ir::StmtKind::kForTime) {
+      count_pairs(forest, s.body, times * s.trip_count, out);
+    } else if (s.kind == ir::StmtKind::kShardBody) {
+      count_pairs(forest, s.body, times, out);
+    } else if (s.kind == ir::StmtKind::kCopy) {
+      for (const auto& src : copy_side(forest, s.copy_src, s.src_root)) {
+        for (const auto& dst : copy_side(forest, s.copy_dst, s.dst_root)) {
+          const bool meet = std::any_of(
+              src.begin(), src.end(), [&](uint64_t p) { return dst.count(p); });
+          if (meet) {
+            out.issued += times;
+          } else if (s.isect == ir::kNoIntersect) {
+            out.skipped += times;
+          }
+        }
+      }
+    }
+  }
+}
+
+// With `result` set, also hands back the run's result and the
+// program's brute-force pair counts.
+struct OracleRun {
+  ExecutionResult res;
+  PairCounts pairs;
+};
+
 void expect_matches_oracle(const Shape& shape,
-                           passes::PipelineOptions options,
-                           bool spmd) {
+                           passes::PipelineOptions options, bool spmd,
+                           OracleRun* result = nullptr) {
   rt::Runtime rt(runtime_config(shape.nodes, 4, CostModel{},
                                 /*real_data=*/true));
   testing::Fig2 fig(rt.forest(), shape.elements, shape.colors, shape.steps);
@@ -40,6 +100,10 @@ void expect_matches_oracle(const Shape& shape,
               oracle.read_f64(fig.b, fig.fb, p))
         << "B[" << p << "] diverged";
   }
+  if (result != nullptr) {
+    result->res = res;
+    count_pairs(rt.forest(), run.program->body, 1, result->pairs);
+  }
 }
 
 TEST(Equivalence, ImplicitMatchesOracle) {
@@ -55,8 +119,30 @@ TEST(Equivalence, SpmdSingleNode) {
 }
 
 TEST(Equivalence, SpmdMoreShardsThanColorsWorks) {
-  // 8 nodes, 8 shards, 6 colors: some shards own nothing.
-  expect_matches_oracle({8, 36, 6, 3}, {}, /*spmd=*/true);
+  // More shards (one per node) than source colors: some shards own
+  // nothing, so their copy-issue buckets are empty. Every pair must still
+  // be issued exactly once. The makespans are pinned: issue bookkeeping
+  // is host-side only and must never move the virtual timeline.
+  struct Case {
+    Shape shape;
+    bool intersection_opt;
+    sim::Time makespan_ns;
+  };
+  for (const Case& c : {Case{{8, 36, 6, 3}, true, 346782},
+                        Case{{16, 40, 5, 3}, true, 312748},
+                        Case{{16, 40, 5, 3}, false, 364238}}) {
+    SCOPED_TRACE(std::to_string(c.shape.nodes) + " nodes, " +
+                 std::to_string(c.shape.colors) + " colors, isect " +
+                 std::to_string(c.intersection_opt));
+    passes::PipelineOptions opt;
+    opt.intersection_opt = c.intersection_opt;
+    OracleRun run;
+    expect_matches_oracle(c.shape, opt, /*spmd=*/true, &run);
+    EXPECT_GT(run.pairs.issued, 0u);
+    EXPECT_EQ(run.res.copies_issued, run.pairs.issued);
+    EXPECT_EQ(run.res.copies_skipped, run.pairs.skipped);
+    EXPECT_EQ(run.res.makespan_ns, c.makespan_ns);
+  }
 }
 
 TEST(Equivalence, SpmdBarrierSync) {

@@ -8,11 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "support/json.h"
+#include "support/rng.h"
 
 namespace cr::support {
 namespace {
@@ -172,6 +175,124 @@ TEST(HostClock, HostMetricsViewHasExpectedKeys) {
   EXPECT_DOUBLE_EQ(m.at("host.window.busy_ns.sum"), 1120.0);
   EXPECT_GE(m.at("host.worker.busy_frac_max"),
             m.at("host.worker.busy_frac_min"));
+}
+
+// A longer synthetic timeline in the simulator's shape: three workers,
+// windows that fuse one to three sub-windows behind elided boundaries,
+// serial drains on some windows, a worker that sits some windows out,
+// and the final drain iteration's row-less plan span.
+HostProfiler make_fused_profiler(uint64_t windows) {
+  HostProfiler prof;
+  constexpr uint32_t kWorkers = 3;
+  prof.begin(kWorkers);
+  const uint64_t o = prof.origin_ns();
+  Rng rng(17);
+  uint64_t now[kWorkers] = {};
+  auto rec = [&](uint32_t w, uint64_t win, HostPhase p) {
+    const uint64_t t0 = now[w];
+    now[w] += 1 + rng.next_below(100);
+    prof.record(w, win, p, o + t0, o + now[w]);
+  };
+  for (uint64_t win = 0; win < windows; ++win) {
+    const uint64_t subs = 1 + rng.next_below(3);
+    rec(0, win, HostPhase::kPlan);
+    if (win % 3 == 0) rec(0, win, HostPhase::kSerialDrain);
+    rec(0, win, HostPhase::kPlan);
+    rec(0, win, HostPhase::kBarrierWake);
+    for (uint32_t w = 0; w < kWorkers; ++w) {
+      if (w > 0) rec(w, win, HostPhase::kBarrierWait);
+      const bool idle = w == 2 && win % 5 == 4;  // never drains
+      for (uint64_t k = 0; k < subs; ++k) {
+        if (k > 0) rec(w, win, HostPhase::kElided);
+        if (idle) continue;
+        rec(w, win, HostPhase::kLaneDrain);
+        rec(w, win, HostPhase::kOutboxFlush);
+      }
+      rec(w, win, w == 0 ? HostPhase::kBarrierWait : HostPhase::kBarrierWake);
+    }
+  }
+  rec(0, windows, HostPhase::kPlan);
+  const uint64_t last = *std::max_element(now, now + kWorkers);
+  while (host_now_ns() - o < last) {
+  }
+  prof.end();
+  return prof;
+}
+
+bool is_busy(HostPhase p) {
+  return p == HostPhase::kLaneDrain || p == HostPhase::kOutboxFlush;
+}
+
+TEST(HostClock, FusedTimelineMatchesBruteForceAggregation) {
+  const HostProfile p = make_fused_profiler(300).profile();
+  const auto& lanes = p.spans;
+  ASSERT_EQ(lanes.size(), 3u);
+
+  double phase_ns[kNumHostPhases] = {};
+  std::vector<uint64_t> busy(3, 0), recorded(3, 0);
+  for (uint32_t w = 0; w < 3; ++w) {
+    for (const HostSpan& s : lanes[w]) {
+      phase_ns[static_cast<size_t>(s.phase)] += s.duration();
+      recorded[w] += s.duration();
+      if (is_busy(s.phase)) busy[w] += s.duration();
+    }
+  }
+  for (size_t k = 0; k < kNumHostPhases; ++k) {
+    EXPECT_DOUBLE_EQ(p.phase_ns[k], phase_ns[k]) << k;
+  }
+  EXPECT_EQ(p.worker_busy_ns, busy);
+  EXPECT_EQ(p.worker_recorded_ns, recorded);
+
+  // Rows, window by window, each rescanning every span of every lane.
+  std::vector<HostWindowRow> rows;
+  for (uint64_t win = 0; win <= 300; ++win) {
+    HostWindowRow r;
+    r.window = win;
+    bool any = false, drained = false;
+    uint64_t parallel_start = 0;
+    for (const HostSpan& s : lanes[0]) {
+      if (s.window != win) continue;
+      r.start_ns = any ? std::min(r.start_ns, s.t0) : s.t0;
+      r.end_ns = any ? std::max(r.end_ns, s.t1) : s.t1;
+      any = true;
+      if (s.phase == HostPhase::kLaneDrain && !drained) {
+        parallel_start = s.t0;
+        drained = true;
+      }
+    }
+    if (!drained) continue;
+    r.parallel_span_ns = r.end_ns - parallel_start;
+    r.serial_ns = (r.end_ns - r.start_ns) - r.parallel_span_ns;
+    for (const auto& lane : lanes) {
+      for (const HostSpan& s : lane) {
+        if (s.window == win && is_busy(s.phase)) r.busy_ns += s.duration();
+      }
+    }
+    rows.push_back(r);
+  }
+  ASSERT_EQ(rows.size(), 300u);  // the final drain iteration has no row
+  ASSERT_EQ(p.window_rows.size(), rows.size());
+  EXPECT_EQ(p.windows, rows.size());
+  uint64_t span_sum = 0, busy_sum = 0;
+  for (size_t k = 0; k < rows.size(); ++k) {
+    const HostWindowRow& got = p.window_rows[k];
+    const HostWindowRow& want = rows[k];
+    EXPECT_EQ(got.window, want.window);
+    EXPECT_EQ(got.start_ns, want.start_ns) << "window " << want.window;
+    EXPECT_EQ(got.end_ns, want.end_ns) << "window " << want.window;
+    EXPECT_EQ(got.serial_ns, want.serial_ns) << "window " << want.window;
+    EXPECT_EQ(got.parallel_span_ns, want.parallel_span_ns)
+        << "window " << want.window;
+    EXPECT_EQ(got.busy_ns, want.busy_ns) << "window " << want.window;
+    span_sum += want.parallel_span_ns;
+    busy_sum += want.busy_ns;
+  }
+  EXPECT_EQ(p.window_span_hist.count(), rows.size());
+  EXPECT_EQ(p.window_span_hist.sum(), span_sum);
+  EXPECT_EQ(p.window_busy_hist.count(), rows.size());
+  EXPECT_EQ(p.window_busy_hist.sum(), busy_sum);
+  ASSERT_GE(p.wall_ns, span_sum);
+  EXPECT_EQ(p.serial_ns, p.wall_ns - span_sum);
 }
 
 std::string slurp(const std::string& path) {

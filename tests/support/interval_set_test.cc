@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "support/rng.h"
@@ -188,6 +192,123 @@ TEST_P(IntervalSetProperty, AlgebraMatchesSetOracle) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IntervalSetProperty,
                          ::testing::Range<uint64_t>(0, 50));
+
+// ---- Size-ratio property tests: the galloping merges against a sorted
+// point-vector reference, from 1:1 up to 1:10^4 interval counts. ----
+
+// About `count` sorted, disjoint intervals with endpoints in
+// [base, base + span]. With `snap` set, half the endpoints sit on or one
+// off an endpoint of `snap`, so the two sides touch and abut often.
+IntervalSet ratio_set(Rng& rng, uint64_t base, uint64_t span, size_t count,
+                      const IntervalSet* snap) {
+  std::vector<uint64_t> ends;
+  for (size_t k = 0; k < 2 * count; ++k) {
+    uint64_t e = base + rng.next_below(span + 1);
+    if (snap != nullptr && !snap->empty() && rng.next_bool()) {
+      const auto& ivs = snap->intervals();
+      const Interval& iv = ivs[rng.next_below(ivs.size())];
+      e = rng.next_bool() ? iv.lo : iv.hi;
+      const uint64_t nudge = rng.next_below(3);  // -1, 0, +1
+      if (nudge == 0 && e > base) --e;
+      if (nudge == 2 && e < base + span) ++e;
+    }
+    ends.push_back(e);
+  }
+  std::sort(ends.begin(), ends.end());
+  ends.erase(std::unique(ends.begin(), ends.end()), ends.end());
+  IntervalSet out;
+  for (size_t k = 0; k + 1 < ends.size(); k += 2) {
+    out.append(ends[k], ends[k + 1]);
+  }
+  return out;
+}
+
+// Random sub-ranges of random intervals of `of`: a set it contains.
+IntervalSet subset_of(Rng& rng, const IntervalSet& of, size_t count) {
+  std::vector<Interval> picks;
+  for (size_t k = 0; k < count && !of.empty(); ++k) {
+    const auto& ivs = of.intervals();
+    const Interval& iv = ivs[rng.next_below(ivs.size())];
+    const uint64_t lo = iv.lo + rng.next_below(iv.size());
+    picks.push_back({lo, lo + 1 + rng.next_below(iv.hi - lo)});
+  }
+  IntervalSet out;
+  for (const Interval& iv : picks) out.add(iv.lo, iv.hi);
+  return out;
+}
+
+std::vector<uint64_t> points_of(const IntervalSet& s) {
+  std::vector<uint64_t> out;
+  for (const Interval& iv : s.intervals()) {
+    for (uint64_t p = iv.lo; p < iv.hi; ++p) out.push_back(p);
+  }
+  return out;
+}
+
+void expect_canonical(const IntervalSet& s, const char* what) {
+  const auto& ivs = s.intervals();
+  for (size_t k = 0; k < ivs.size(); ++k) {
+    EXPECT_LT(ivs[k].lo, ivs[k].hi) << what << ": empty interval " << k;
+    if (k > 0) {
+      EXPECT_LT(ivs[k - 1].hi, ivs[k].lo)
+          << what << ": unsorted or uncoalesced at " << k;
+    }
+  }
+}
+
+void expect_algebra_matches(const IntervalSet& a, const IntervalSet& b) {
+  const std::vector<uint64_t> pa = points_of(a), pb = points_of(b);
+  std::vector<uint64_t> inter, diff_ab, diff_ba;
+  std::set_intersection(pa.begin(), pa.end(), pb.begin(), pb.end(),
+                        std::back_inserter(inter));
+  std::set_difference(pa.begin(), pa.end(), pb.begin(), pb.end(),
+                      std::back_inserter(diff_ab));
+  std::set_difference(pb.begin(), pb.end(), pa.begin(), pa.end(),
+                      std::back_inserter(diff_ba));
+
+  const IntervalSet i_ab = a.set_intersect(b), i_ba = b.set_intersect(a);
+  const IntervalSet d_ab = a.set_subtract(b), d_ba = b.set_subtract(a);
+  expect_canonical(i_ab, "a & b");
+  expect_canonical(d_ab, "a - b");
+  expect_canonical(d_ba, "b - a");
+  EXPECT_EQ(points_of(i_ab), inter);
+  EXPECT_EQ(i_ba, i_ab);
+  EXPECT_EQ(points_of(d_ab), diff_ab);
+  EXPECT_EQ(points_of(d_ba), diff_ba);
+  EXPECT_EQ(a.overlaps(b), !inter.empty());
+  EXPECT_EQ(b.overlaps(a), !inter.empty());
+  EXPECT_EQ(a.contains_all(b), diff_ba.empty());
+  EXPECT_EQ(b.contains_all(a), diff_ab.empty());
+  EXPECT_TRUE(a.contains_all(i_ab));
+  EXPECT_TRUE(b.contains_all(i_ab));
+}
+
+class IntervalSetRatioProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(IntervalSetRatioProperty, MatchesPointSetReference) {
+  // (small, large) interval counts: empty sides, 1:1, and 1:10 .. 1:10^4.
+  const std::pair<size_t, size_t> shapes[] = {
+      {0, 0},   {0, 40},    {1, 1},    {40, 40},   {200, 200}, {20, 200},
+      {10, 1000}, {3, 3000}, {2, 10000}, {1, 10000}};
+  for (const auto& [m, n] : shapes) {
+    // Low ids and ids whose intervals end at UINT64_MAX itself.
+    for (const bool near_max : {false, true}) {
+      Rng rng(GetParam() * 1009 + m * 31 + n + (near_max ? 7 : 0));
+      const uint64_t span = 8 * std::max<uint64_t>(n, 1);
+      const uint64_t base = near_max ? UINT64_MAX - span : 0;
+      SCOPED_TRACE("m=" + std::to_string(m) + " n=" + std::to_string(n) +
+                   (near_max ? " near UINT64_MAX" : ""));
+      const IntervalSet large = ratio_set(rng, base, span, n, nullptr);
+      const IntervalSet small = ratio_set(rng, base, span, m, &large);
+      expect_algebra_matches(small, large);
+      expect_algebra_matches(large, small);
+      expect_algebra_matches(subset_of(rng, large, m), large);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IntervalSetRatioProperty,
+                         ::testing::Range<uint64_t>(0, 8));
 
 TEST(IntervalSet, UnionIdentityAndIdempotence) {
   Rng rng(42);
