@@ -167,11 +167,6 @@ struct BenchOptions {
   // --pin: topology-pin the windowed backend's host threads to distinct
   // physical cores (ExecConfig::pin_workers). Host-side only.
   bool pin = false;
-  // --global-window: run the windowed backend with the global-window
-  // reference policy instead of adaptive per-lane lookahead
-  // (ExecConfig::adaptive_window = false). Equivalence-testing knob;
-  // virtual results are bit-identical either way.
-  bool global_window = false;
   // --no-elide: disable boundary elision in the windowed backend
   // (ExecConfig::elide_boundaries = false), forcing the full serial
   // park/drain/release protocol at every window boundary.
@@ -233,10 +228,6 @@ struct BenchOptions {
     flags.add_flag("pin",
                    "pin simulation workers to distinct physical cores",
                    &pin);
-    flags.add_flag("global-window",
-                   "use the global-window reference policy (no adaptive "
-                   "per-lane lookahead)",
-                   &global_window);
     flags.add_flag("no-elide",
                    "disable window-boundary elision (full serial "
                    "boundary at every window)",
@@ -341,7 +332,6 @@ class Bench {
         cfg.watchdog_ms = static_cast<uint64_t>(options_.watchdog_ms);
       }
     }
-    cfg.adaptive_window = !options_.global_window;
     cfg.elide_boundaries = !options_.no_elide;
     cfg.trace_replay = options_.replay;
     cfg.mapper.name = options_.mapper;

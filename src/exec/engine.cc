@@ -34,7 +34,6 @@ struct Engine::Impl {
         cost_(config.cost),
         mode_(config.mode),
         workers_(config.workers),
-        adaptive_window_(config.adaptive_window),
         elide_boundaries_(config.elide_boundaries),
         pin_workers_(config.pin_workers),
         host_profile_(config.host_profile),
@@ -828,12 +827,14 @@ struct Engine::Impl {
     // Scalar argument capture: bind the scalar versions current at issue.
     // The readys and the issue charge trigger on the issuing control
     // thread's node; route them to the executing node as one dispatch.
+    // Captures only feed the kernel, so virtual-only runs skip them.
+    const bool has_kernel = rt_.instances() != nullptr && decl.kernel;
     std::vector<sim::Event> ctx_pre;
-    auto captures = std::make_shared<Captures>();
+    Captures captures;
     for (ir::ScalarId a : s.scalar_args) {
       ScalarVersion& v = latest(ctx.shard, a);
       ctx_pre.push_back(v.ready);
-      captures->push_back({a, v.value});
+      if (has_kernel) captures.push_back({a, v.value});
     }
 
     ctx_pre.push_back(charge(ctx, issue_ns, "issue:task"));
@@ -888,8 +889,8 @@ struct Engine::Impl {
     }
 
     std::function<void()> work;
-    if (rt_.instances() != nullptr && decl.kernel) {
-      work = make_kernel_work(decl, color, insts, captures, red);
+    if (has_kernel) {
+      work = make_kernel_work(decl, color, insts, std::move(captures), red);
     }
     sim::ProcId proc =
         rt_.mapper().compute_proc(exec_node, proc_rr_[exec_node]++);
@@ -921,8 +922,8 @@ struct Engine::Impl {
 
   std::function<void()> make_kernel_work(
       const ir::TaskDecl& decl, uint64_t color,
-      const std::vector<InstanceRef*>& insts,
-      std::shared_ptr<Captures> captures, PendingReduction* red);
+      const std::vector<InstanceRef*>& insts, Captures captures,
+      PendingReduction* red);
 
   // --- single tasks ------------------------------------------------------
 
@@ -958,11 +959,12 @@ struct Engine::Impl {
         note_read(sync_of(*insts[k]), done.event(), 0, ctx.shard);
       }
     }
-    auto captures = std::make_shared<Captures>();
+    const bool has_kernel = rt_.instances() != nullptr && decl.kernel;
+    Captures captures;
     for (ir::ScalarId a : s.scalar_args) {
       ScalarVersion& v = latest(kMainEnv, a);
       pre.push_back(v.ready);
-      captures->push_back({a, v.value});
+      if (has_kernel) captures.push_back({a, v.value});
     }
     pre.push_back(charge(ctx, cost_.single_task_issue_ns, "issue:single"));
 
@@ -989,8 +991,8 @@ struct Engine::Impl {
                 forest().region(insts[decl.domain_param]->region)
                     .ispace.size());
     std::function<void()> work;
-    if (rt_.instances() != nullptr && decl.kernel) {
-      work = make_kernel_work(decl, 0, insts, captures, nullptr);
+    if (has_kernel) {
+      work = make_kernel_work(decl, 0, insts, std::move(captures), nullptr);
     }
     sim::ProcId proc = rt_.mapper().compute_proc(0, proc_rr_[0]++);
     support::TraceTag tag;
@@ -1478,7 +1480,6 @@ struct Engine::Impl {
   CostModel cost_;
   ExecMode mode_;
   const uint32_t workers_;      // 0 = sequential loop, N = windowed backend
-  const bool adaptive_window_;  // per-lane horizons vs global reference
   const bool elide_boundaries_;  // fuse serial-free window boundaries
   const bool pin_workers_;      // topology-pin the backend's host threads
   const bool host_profile_;     // host-phase spans on the windowed run
@@ -1501,48 +1502,55 @@ struct Engine::Impl {
 
 namespace {
 
+// Borrows the instance ids, domains and scalar captures from the kernel
+// closure that owns them (make_kernel_work), so a task execution builds
+// nothing on the heap.
 class EngineContext final : public ir::TaskContext {
  public:
-  EngineContext(rt::InstanceManager& mgr, const ir::TaskDecl& decl)
-      : mgr_(mgr), decl_(decl) {}
+  EngineContext(
+      rt::InstanceManager& mgr, const ir::TaskDecl& decl,
+      const std::vector<rt::InstanceId>& insts,
+      const std::vector<const rt::IndexSpace*>& domains,
+      const std::vector<std::pair<ir::ScalarId, std::shared_ptr<double>>>&
+          captures)
+      : mgr_(mgr),
+        decl_(decl),
+        insts_(insts),
+        domains_(domains),
+        captures_(captures) {}
 
-  std::vector<rt::InstanceId> insts;
-  std::vector<const rt::IndexSpace*> domains;
-  const rt::IndexSpace* launch_domain = nullptr;
-  const std::vector<std::pair<ir::ScalarId, std::shared_ptr<double>>>*
-      captures = nullptr;
   double* red_slot = nullptr;
   rt::ReduceOp red_op = rt::ReduceOp::kSum;
 
-  const rt::IndexSpace& domain() const override { return *launch_domain; }
+  const rt::IndexSpace& domain() const override {
+    return *domains_[decl_.domain_param];
+  }
   const rt::IndexSpace& param_domain(size_t k) const override {
-    return *domains[k];
+    return *domains_[k];
   }
   double read_f64(size_t k, rt::FieldId f, uint64_t pt) const override {
     CR_DCHECK(rt::privilege_reads(decl_.params[k].privilege));
-    return mgr_.get(insts[k]).read_f64(f, pt);
+    return mgr_.get(insts_[k]).read_f64(f, pt);
   }
   void write_f64(size_t k, rt::FieldId f, uint64_t pt, double v) override {
     CR_DCHECK(rt::privilege_writes(decl_.params[k].privilege));
-    mgr_.get(insts[k]).write_f64(f, pt, v);
+    mgr_.get(insts_[k]).write_f64(f, pt, v);
   }
   int64_t read_i64(size_t k, rt::FieldId f, uint64_t pt) const override {
     CR_DCHECK(rt::privilege_reads(decl_.params[k].privilege));
-    return mgr_.get(insts[k]).read_i64(f, pt);
+    return mgr_.get(insts_[k]).read_i64(f, pt);
   }
   void write_i64(size_t k, rt::FieldId f, uint64_t pt, int64_t v) override {
     CR_DCHECK(rt::privilege_writes(decl_.params[k].privilege));
-    mgr_.get(insts[k]).write_i64(f, pt, v);
+    mgr_.get(insts_[k]).write_i64(f, pt, v);
   }
   void reduce_f64(size_t k, rt::FieldId f, uint64_t pt, double v) override {
     CR_DCHECK(decl_.params[k].privilege == rt::Privilege::kReduce);
-    mgr_.get(insts[k]).reduce_f64(f, pt, decl_.params[k].redop, v);
+    mgr_.get(insts_[k]).reduce_f64(f, pt, decl_.params[k].redop, v);
   }
   double scalar(ir::ScalarId s) const override {
-    if (captures != nullptr) {
-      for (const auto& [id, val] : *captures) {
-        if (id == s) return *val;
-      }
+    for (const auto& [id, val] : captures_) {
+      if (id == s) return *val;
     }
     CR_CHECK_MSG(false, "scalar not captured by this task");
   }
@@ -1554,33 +1562,34 @@ class EngineContext final : public ir::TaskContext {
  private:
   rt::InstanceManager& mgr_;
   const ir::TaskDecl& decl_;
+  const std::vector<rt::InstanceId>& insts_;
+  const std::vector<const rt::IndexSpace*>& domains_;
+  const std::vector<std::pair<ir::ScalarId, std::shared_ptr<double>>>&
+      captures_;
 };
 
 }  // namespace
 
 std::function<void()> Engine::Impl::make_kernel_work(
     const ir::TaskDecl& decl, uint64_t color,
-    const std::vector<InstanceRef*>& insts, std::shared_ptr<Captures> captures,
+    const std::vector<InstanceRef*>& insts, Captures captures,
     PendingReduction* red) {
-  auto ids = std::make_shared<std::vector<rt::InstanceId>>();
-  auto doms = std::make_shared<std::vector<const rt::IndexSpace*>>();
+  std::vector<rt::InstanceId> ids;
+  std::vector<const rt::IndexSpace*> doms;
+  ids.reserve(insts.size());
+  doms.reserve(insts.size());
   for (const InstanceRef* r : insts) {
-    ids->push_back(r->inst);
-    doms->push_back(&forest().region(r->region).ispace);
+    ids.push_back(r->inst);
+    doms.push_back(&forest().region(r->region).ispace);
   }
   auto* mgr = rt_.instances();
   const ir::TaskDecl* decl_ptr = &decl;
   std::shared_ptr<std::vector<double>> partials =
       red != nullptr ? red->partials : nullptr;
   const rt::ReduceOp op = red != nullptr ? red->op : rt::ReduceOp::kSum;
-  const size_t domain_param = decl.domain_param;
-  return [mgr, decl_ptr, ids, doms, captures, partials, op, color,
-          domain_param] {
-    EngineContext ctx(*mgr, *decl_ptr);
-    ctx.insts = *ids;
-    ctx.domains = *doms;
-    ctx.launch_domain = (*doms)[domain_param];
-    ctx.captures = captures.get();
+  return [mgr, decl_ptr, ids = std::move(ids), doms = std::move(doms),
+          captures = std::move(captures), partials, op, color] {
+    EngineContext ctx(*mgr, *decl_ptr, ids, doms, captures);
     double slot = rt::reduce_identity(op);
     if (partials) {
       ctx.red_slot = &slot;
@@ -1600,15 +1609,6 @@ Engine::Engine(rt::Runtime& rt, const ir::Program& program,
     : impl_(std::make_unique<Impl>(rt, program, config)) {
   if (config.trace) enable_trace();
 }
-
-Engine::Engine(rt::Runtime& rt, const ir::Program& program,
-               const CostModel& cost, ExecMode mode)
-    : Engine(rt, program, [&] {
-        ExecConfig config;
-        config.cost = cost;
-        config.mode = mode;
-        return config;
-      }()) {}
 
 Engine::~Engine() = default;
 
@@ -1654,7 +1654,6 @@ ExecutionResult Engine::run() {
       s.begin_windowed(impl_->rt_.machine().nodes(),
                        impl_->rt_.network().min_cross_node_delay());
     }
-    s.set_adaptive_window(impl_->adaptive_window_);
     s.set_elide_boundaries(impl_->elide_boundaries_);
     if (impl_->pin_workers_) {
       // Host-side placement only (virtual time is unaffected): spread

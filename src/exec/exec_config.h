@@ -1,10 +1,9 @@
-// One configuration object for the whole prepare-and-execute path.
-//
-// Historically callers threaded passes::PipelineOptions into prepare_*,
-// a CostModel plus ExecMode into the Engine constructor, and flipped
-// instrumentation (tracing, the race checker) through separate calls.
-// ExecConfig collapses that plumbing: build one struct, hand it to
-// prepare() (see implicit_exec.h) or to the Engine directly.
+// One configuration object for the whole prepare-and-execute path:
+// build one struct and hand it to prepare() (see implicit_exec.h) or to
+// the Engine directly. Designated initializers keep call sites short:
+//   prepare(rt, program, {.cost = cost, .mode = ExecMode::kImplicit});
+// (Every member has a default member initializer, so such a call may
+// omit any of them without tripping -Wmissing-field-initializers.)
 #pragma once
 
 #include "exec/cost_model.h"
@@ -20,15 +19,15 @@ struct ExecConfig {
   // How the source program is transformed before execution
   // (control_replicate for kSpmd, prepare_distributed for kImplicit).
   // pipeline.num_shards == 0 defaults to one shard per node.
-  passes::PipelineOptions pipeline;
-  CostModel cost;
+  passes::PipelineOptions pipeline{};
+  CostModel cost{};
   ExecMode mode = ExecMode::kSpmd;
 
   // Placement policy: a rt::MapperRegistry name ("default", "balanced",
   // "adversarial", "random") plus its knobs (seed, reserved cores). The
   // Engine installs the selected mapper on the Runtime at construction;
   // this field is the only way to configure placement (one-struct rule).
-  rt::MapperOptions mapper;
+  rt::MapperOptions mapper{};
 
   // Simulation backend: 0 = the sequential reference event loop; N >= 1
   // = the windowed multi-worker backend with N host threads (SPMD mode
@@ -37,21 +36,15 @@ struct ExecConfig {
   // multi-worker backend".
   uint32_t workers = 0;
 
-  // Window policy for the multi-worker backend: true (default) = adaptive
-  // per-lane lookahead horizons; false = the global-window reference
-  // policy (PR 5 behavior), kept for equivalence testing. Both produce
-  // bit-identical virtual timelines; adaptive runs far fewer windows.
-  bool adaptive_window = true;
-
-  // Boundary elision for the multi-worker backend (backend v3, adaptive
-  // policy only): fuse runs of windows whose boundaries provably have
-  // no serial work into one barrier cycle, rolling lanes between
-  // pre-planned horizons through a cheap symmetric rendezvous. True
-  // (default) = elide; false = the full-boundary reference protocol,
-  // kept for equivalence testing. Bit-identical virtual timelines
-  // either way; only host-side boundary cost and the window-shape
-  // gauges (sim.windows, sim.windows_elided, sim.queue.max_depth)
-  // differ.
+  // Boundary elision for the multi-worker backend (backend v3): fuse
+  // runs of windows whose boundaries provably have no serial work into
+  // one barrier cycle, rolling lanes between pre-planned horizons
+  // through a cheap symmetric rendezvous. True (default) = elide;
+  // false = a full serial boundary at every window, which is faster on
+  // some apps (neither setting wins everywhere). Bit-identical virtual
+  // timelines either way; only host-side boundary cost and the
+  // window-shape gauges (sim.windows, sim.windows_elided,
+  // sim.queue.max_depth) differ.
   bool elide_boundaries = true;
 
   // Pin the backend's host threads to distinct physical cores (probed

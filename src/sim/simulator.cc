@@ -135,13 +135,13 @@ void Simulator::schedule_merge_completion(Time t, uint64_t merge_uid,
     schedule_at(t, std::move(fn));
     return;
   }
-  // The adaptive policy's feedback cap relies on every merge wirer
+  // The window planner's feedback cap relies on every merge wirer
   // having declared how soon its completion can touch node state; a
   // completion from an undeclared wirer could slip inside a lane's
   // already-executed horizon.
-  CR_CHECK_MSG(!adaptive_ || global_floor_ > 0,
+  CR_CHECK_MSG(global_floor_ > 0,
                "merge completion scheduled with no registered "
-               "global-influence floor (adaptive windows)");
+               "global-influence floor");
   // Key by the merge's unroll-assigned uid: whichever host thread
   // happens to complete the countdown, the entry is identical.
   push_windowed(t, kNoAffinity, kMergeCreator, merge_uid, std::move(fn));
@@ -356,46 +356,27 @@ Time Simulator::node_min_time() {
   return kInfTime;
 }
 
-void Simulator::compute_window_ends(Time node_min) {
-  ++windows_;
-  const Time global_cap =
-      global_q_.empty() ? kInfTime : global_q_.top().time;
-  if (!adaptive_) {
-    // Reference policy: one global window bounded by the minimum
-    // cross-node delay (PR 5 behavior, bit for bit).
-    const Time b = std::min(sat_add(node_min, lookahead_), global_cap);
-    CR_CHECK(b > node_min);
-    std::fill(win_end_lane_.begin(), win_end_lane_.end(), b);
-    return;
-  }
-  // Adaptive policy. Feedback cap: a merge completion minted during this
-  // window completes at >= node_min and reaches node state no earlier
-  // than the registered floor after that (clamped to the lookahead so a
-  // degenerate single-participant tree keeps the reference envelope).
-  const Time cap = std::min(
-      global_cap, global_floor_ == 0
-                      ? kInfTime
-                      : sat_add(node_min, std::max(global_floor_,
-                                                   lookahead_)));
-  // Outbound horizons. Only lanes that still hold armed cross-node
-  // sends can influence other lanes (arming is unroll-time-only, so the
-  // armed set never grows during the run). But influence *chains*: a
-  // message sent during this window can lower its receiver's effective
-  // front, and the receiver can relay. The fixed point of
+template <typename LaneBound>
+uint32_t Simulator::solve_horizons(LaneBound bound, Time cap,
+                                   Time* ends) const {
+  // The fixed point of
   //   eff_m = min(front_m, min_{x armed, x != m} eff_x + lookahead)
-  // collapses to: the armed lane with the smallest front (h1, at lane
-  // arg1) keeps eff = h1, and every other armed lane m (including ones
-  // with an empty queue) has eff_m = min(front_m, h1 + lookahead),
-  // because arg1 can reach it in one hop. A lane's window end is then
-  // min over the *other* armed lanes of eff + lookahead:
+  // over the armed lanes (the only ones that can influence another
+  // lane; arming is unroll-time-only, so the armed set never grows
+  // during the run) collapses to: the armed lane with the smallest bound
+  // (h1, at lane arg1) keeps eff = h1, and every other armed lane m
+  // (including ones with nothing queued) has eff_m = min(front_m,
+  // h1 + lookahead), because arg1 can reach it in one hop. A lane's
+  // window end is then min over the *other* armed lanes of
+  // eff + lookahead:
   //   n != arg1:  B_n = h1 + lookahead      (arg1 influences n directly)
   //   n == arg1:  B_n = min(h2 + lookahead, h1 + 2*lookahead)
-  //               (direct from the second-lowest armed front, or a
+  //               (direct from the second-lowest armed bound, or a
   //                relay of arg1's own output through any armed lane)
-  // each clamped by the global-feedback cap. Basing horizons on
-  // boundary fronts alone (the obvious formula) is unsound: lane A at
-  // t sends to lane B (arrive t + L, below B's boundary front), B
-  // reacts and sends back at t + 2L — below where A was allowed to run.
+  // each clamped by `cap`. Basing horizons on the bounds alone (the
+  // obvious formula) is unsound: lane A at t sends to lane B (arrive
+  // t + L, below B's bound), B reacts and sends back at t + 2L — below
+  // where A was allowed to run.
   Time h1 = kInfTime;
   Time h2 = kInfTime;
   uint32_t arg1 = kNoAffinity;
@@ -403,8 +384,7 @@ void Simulator::compute_window_ends(Time node_min) {
   for (uint32_t m = 0; m < nodes_; ++m) {
     if (armed_cross_[m].load(std::memory_order_relaxed) == 0) continue;
     ++armed_lanes;
-    if (node_q_[m].empty()) continue;
-    const Time h = node_q_[m].top().time;
+    const Time h = bound(m);
     if (h < h1) {
       h2 = h1;
       h1 = h;
@@ -419,22 +399,42 @@ void Simulator::compute_window_ends(Time node_min) {
     b_min = std::min(b_min, std::min(sat_add(h2, lookahead_),
                                      sat_add(h1, 2 * lookahead_)));
   }
-  for (uint32_t n = 0; n < nodes_; ++n) {
-    const Time b = n == arg1 ? b_min : b_other;
-    // Every component strictly exceeds node_min: fronts of armed lanes
-    // are >= node_min, the serial phase drained every global entry at
-    // or below node_min (so global_cap > node_min), and the lookahead
-    // is positive. Every lane therefore makes progress.
-    CR_CHECK(b > node_min);
-    win_end_lane_[n] = b;
-  }
+  std::fill(ends, ends + nodes_, b_other);
+  if (arg1 != kNoAffinity) ends[arg1] = b_min;
+  return armed_lanes;
+}
+
+void Simulator::compute_window_ends(Time node_min) {
+  ++windows_;
+  // Feedback cap: a merge completion minted during this window completes
+  // at >= node_min and reaches node state no earlier than the registered
+  // floor after that (clamped to the lookahead so a degenerate
+  // single-participant tree keeps the one-lookahead envelope).
+  const Time global_cap =
+      global_q_.empty() ? kInfTime : global_q_.top().time;
+  const Time cap = std::min(
+      global_cap, global_floor_ == 0
+                      ? kInfTime
+                      : sat_add(node_min, std::max(global_floor_,
+                                                   lookahead_)));
+  // Every armed lane's queue front bounds what it can still execute
+  // (an empty queue bounds nothing until a delivery arrives, which the
+  // fixed point already covers through the h1 relay).
+  solve_horizons(
+      [this](uint32_t m) {
+        return node_q_[m].empty() ? kInfTime : node_q_[m].top().time;
+      },
+      cap, win_end_lane_.data());
+  // Every component strictly exceeds node_min: fronts of armed lanes are
+  // >= node_min, the serial phase drained every global entry at or below
+  // node_min (so global_cap > node_min), and the lookahead is positive.
+  // Every lane therefore makes progress.
+  for (uint32_t n = 0; n < nodes_; ++n) CR_CHECK(win_end_lane_[n] > node_min);
 }
 
 void Simulator::plan_elisions() {
   elide_count_ = 0;
-  // Elision needs the adaptive machinery (armed counts, influence
-  // floors); the reference policy stays the untouched PR 5 baseline.
-  if (!elide_ || !adaptive_) return;
+  if (!elide_) return;
   // An outstanding remote merge could mint a global-lane entry at an
   // unknown time mid-region; every boundary until it schedules must
   // run the full serial protocol.
@@ -447,16 +447,6 @@ void Simulator::plan_elisions() {
   // construction — that is the elision condition.
   const Time global_cap =
       global_q_.empty() ? kInfTime : global_q_.top().time;
-  uint32_t armed_lanes = 0;
-  for (uint32_t m = 0; m < nodes_; ++m) {
-    if (armed_cross_[m].load(std::memory_order_relaxed) != 0) ++armed_lanes;
-  }
-  if (armed_lanes == 0) {
-    // No lane can influence another: compute_window_ends already ran
-    // every lane to the global cap (or to infinity), and the next
-    // boundary either has serial work or ends the run.
-    return;
-  }
   if (elide_ends_.size() < kMaxElidedPerWindow) {
     elide_ends_.resize(kMaxElidedPerWindow);
   }
@@ -470,29 +460,17 @@ void Simulator::plan_elisions() {
   // more conservative than the boundary solve, never less safe.
   const std::vector<Time>* lb = &win_end_lane_;
   while (elide_count_ < kMaxElidedPerWindow) {
-    Time h1 = kInfTime;
-    Time h2 = kInfTime;
-    uint32_t arg1 = kNoAffinity;
-    for (uint32_t m = 0; m < nodes_; ++m) {
-      if (armed_cross_[m].load(std::memory_order_relaxed) == 0) continue;
-      const Time h = (*lb)[m];
-      if (h < h1) {
-        h2 = h1;
-        h1 = h;
-        arg1 = m;
-      } else if (h < h2) {
-        h2 = h;
-      }
-    }
-    const Time b_other = std::min(global_cap, sat_add(h1, lookahead_));
-    Time b_min = global_cap;
-    if (arg1 != kNoAffinity && armed_lanes >= 2) {
-      b_min = std::min(b_min, std::min(sat_add(h2, lookahead_),
-                                       sat_add(h1, 2 * lookahead_)));
-    }
     std::vector<Time>& ends = elide_ends_[elide_count_];
-    ends.assign(nodes_, b_other);
-    if (arg1 != kNoAffinity) ends[arg1] = b_min;
+    ends.resize(nodes_);
+    if (solve_horizons([lb](uint32_t m) { return (*lb)[m]; }, global_cap,
+                       ends.data()) == 0) {
+      // No lane can influence another: compute_window_ends already ran
+      // every lane to the global cap (or to infinity), and the next
+      // boundary either has serial work or ends the run. (Armed counts
+      // are frozen while planning, so this can only trigger on the
+      // first pass.)
+      return;
+    }
     // Stop once the schedule stops advancing (all lanes pinned at the
     // global cap — the next boundary needs its serial phase) or has
     // run to infinity (one more sub-window drains everything).
@@ -600,7 +578,7 @@ void Simulator::run_region(uint32_t worker, uint64_t* processed,
 void Simulator::execute(const Entry& e, uint32_t affinity,
                         uint64_t* processed, Time* max_time) {
   const uint32_t lane = affinity == kNoAffinity ? nodes_ : affinity;
-  // The conservative-safety invariant, independent of window policy: no
+  // The conservative-safety invariant, independent of the window plan: no
   // entry may run before something its lane already executed.
   if (e.time < lane_last_exec_[lane]) {
     const std::string msg =
@@ -822,7 +800,7 @@ Time Simulator::run_windowed(uint32_t workers) {
       CR_CHECK(global_q_.empty());
       break;
     }
-    // Publish this window's per-lane boundaries (policy-dependent; see
+    // Publish this window's per-lane boundaries (see
     // compute_window_ends) before releasing the workers, then pre-plan
     // the horizons of every boundary this region can elide — all while
     // workers are still parked, so the whole schedule is deterministic.

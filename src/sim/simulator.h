@@ -26,35 +26,27 @@
 //    result, metrics snapshot and trace — is bit-identical for any worker
 //    count.
 //
-//    Two window policies share that machinery (set_adaptive_window):
-//
-//    - Reference (global window): every lane stops at
-//      min(node_min + lookahead, next global entry). This is the PR 5
-//      behavior, kept as the equivalence baseline.
-//
-//    - Adaptive (per-lane horizon, the default): only lanes that still
-//      hold *armed* (wired but not yet injected) cross-node sends can
-//      influence other lanes — Network maintains the per-lane armed
-//      counts, and arming happens only at unroll time, so the armed set
-//      never grows during the run. Influence chains, though: a message
-//      sent during a window lowers its receiver's effective front, and
-//      the receiver can relay one lookahead later. Solving the fixed
-//      point eff_m = min(front_m, min_{armed x != m} eff_x + lookahead)
-//      gives, with h1 <= h2 the two smallest fronts among armed lanes
-//      and a* the lane at h1:
-//        B_n (n != a*) = h1 + lookahead
-//        B_{a*}        = min(h2 + lookahead, h1 + 2*lookahead)
-//      each clamped by the global-feedback cap
-//        min(next global entry time, node_min + max(floor, lookahead))
-//      where the global-influence floor is the minimum delay from any
-//      merge completion to its first possible node-side effect
-//      (registered by barriers/collectives at wiring). Lanes whose
-//      armed peers are far in the future — and every lane once the
-//      armed sends drain — run deep into their own queues instead of
-//      stopping at node_min + lookahead. Both policies execute the same
-//      entries in the same per-lane order — only the window boundaries
-//      (and therefore the boundary-sampled queue-depth gauge and the
-//      window count) differ.
+//    Window ends are per-lane horizons: only lanes that still hold
+//    *armed* (wired but not yet injected) cross-node sends can
+//    influence other lanes — Network maintains the per-lane armed
+//    counts, and arming happens only at unroll time, so the armed set
+//    never grows during the run. Influence chains, though: a message
+//    sent during a window lowers its receiver's effective front, and
+//    the receiver can relay one lookahead later. Solving the fixed
+//    point eff_m = min(front_m, min_{armed x != m} eff_x + lookahead)
+//    gives, with h1 <= h2 the two smallest fronts among armed lanes
+//    and a* the lane at h1:
+//      B_n (n != a*) = h1 + lookahead
+//      B_{a*}        = min(h2 + lookahead, h1 + 2*lookahead)
+//    each clamped by the global-feedback cap
+//      min(next global entry time, node_min + max(floor, lookahead))
+//    where the global-influence floor is the minimum delay from any
+//    merge completion to its first possible node-side effect
+//    (registered by barriers/collectives at wiring). Lanes whose armed
+//    peers are far in the future — and every lane once the armed sends
+//    drain — run deep into their own queues instead of stopping at
+//    node_min + lookahead. Boundary elision reuses the same solve on
+//    the previous sub-window's ends (see set_elide_boundaries).
 //
 //    Safety is CHECK-enforced twice: a worker's cross-lane push must land
 //    at or after the destination lane's current window end, and every
@@ -163,22 +155,15 @@ class Simulator {
   // Bit-identical results for any worker count. Returns the final time.
   Time run_windowed(uint32_t workers);
 
-  // Select the window policy (see the file comment): true = adaptive
-  // per-lane horizons (default), false = the PR 5 global-window
-  // reference. Call before run_windowed(); both policies produce the
-  // same virtual timeline.
-  void set_adaptive_window(bool on) { adaptive_ = on; }
-  bool adaptive_window() const { return adaptive_; }
-
-  // Boundary elision (backend v3, adaptive policy only): when the
-  // serial boundary between two adjacent windows provably has nothing
-  // to do — no global-lane entry below the fused horizon and no armed
-  // merge completion that could mint one — the coordinator pre-plans a
-  // run of windows at once and workers roll between them through a
-  // cheap symmetric rendezvous instead of a full park / serial drain /
-  // release cycle. Same per-lane execution order, bit for bit; only
-  // the host-side boundary protocol (and the window-shape gauges)
-  // changes. Call before run_windowed(). Default on.
+  // Boundary elision (backend v3): when the serial boundary between two
+  // adjacent windows provably has nothing to do — no global-lane entry
+  // below the fused horizon and no armed merge completion that could
+  // mint one — the coordinator pre-plans a run of windows at once and
+  // workers roll between them through a cheap symmetric rendezvous
+  // instead of a full park / serial drain / release cycle. Same
+  // per-lane execution order, bit for bit; only the host-side boundary
+  // protocol (and the window-shape gauges) changes. Call before
+  // run_windowed(). Default on.
   void set_elide_boundaries(bool on) { elide_ = on; }
   bool elide_boundaries() const { return elide_; }
 
@@ -190,7 +175,7 @@ class Simulator {
     worker_cpus_ = std::move(cpus);
   }
 
-  // --- adaptive-window bookkeeping (Network / sync primitives) ---------
+  // --- window-horizon bookkeeping (Network / sync primitives) ----------
   // A cross-node send has been wired whose injection will run on node
   // `src` (Network::send, at subscription time). While a lane has armed
   // sends its queue front bounds its outbound influence; once the count
@@ -202,7 +187,7 @@ class Simulator {
   // A deferred merge completion wired at unroll time can influence node
   // state no earlier than `delay` after the completion time. Every
   // merge_remote wirer must register its floor (CHECK-enforced when a
-  // completion is scheduled in adaptive mode); the minimum across
+  // completion is scheduled in windowed mode); the minimum across
   // registrations caps how far any lane may run past the window start.
   void note_global_influence_floor(Time delay);
   // A remote merge has been wired (Event::merge_remote) whose deferred
@@ -274,15 +259,14 @@ class Simulator {
   uint64_t max_queue_depth() const { return max_queue_depth_; }
 
   // Conservative windows executed by run_windowed (0 for sequential
-  // runs). Adaptive windows are never shallower than reference windows,
-  // so this count is the cheap proxy for barrier overhead. With
-  // boundary elision a fused run of k+1 windows counts as one full
-  // window plus k elided boundaries.
+  // runs): the cheap proxy for barrier overhead. With boundary elision
+  // a fused run of k+1 windows counts as one full window plus k elided
+  // boundaries.
   uint64_t windows() const { return windows_; }
 
   // Window boundaries replaced by the in-region rendezvous (0 when
-  // elision is off or the policy is not adaptive). Deterministic for a
-  // given program and elision setting, independent of worker count.
+  // elision is off). Deterministic for a given program and elision
+  // setting, independent of worker count.
   uint64_t elided_boundaries() const { return elided_boundaries_; }
 
  private:
@@ -341,8 +325,15 @@ class Simulator {
   // lazy min-heap over lane fronts (amortized O(log nodes) per window
   // instead of an O(nodes) rescan per serial-phase iteration).
   Time node_min_time();
-  // Fill win_end_lane_ for the window starting at node_min under the
-  // current policy, and bump the window counter.
+  // The per-lane horizon fixed point (see the file comment): given
+  // bound(m), a lower bound on every entry armed lane m can still
+  // execute or receive (kInfTime when none), write each lane's window
+  // end, clamped to `cap`, into ends[0, nodes_). Returns the number of
+  // armed lanes. Serial contexts only (workers parked).
+  template <typename LaneBound>
+  uint32_t solve_horizons(LaneBound bound, Time cap, Time* ends) const;
+  // Fill win_end_lane_ for the window starting at node_min (the solve
+  // over queue fronts), and bump the window counter.
   void compute_window_ends(Time node_min);
   // Boundary elision: starting from the window just planned into
   // win_end_lane_, pre-compute horizons for a run of follow-on windows
@@ -382,7 +373,6 @@ class Simulator {
 
   // --- windowed backend state ------------------------------------------
   bool windowed_ = false;
-  bool adaptive_ = true;
   uint32_t nodes_ = 0;
   Time lookahead_ = 0;
   std::vector<Queue> node_q_;          // per-node partitions
@@ -390,12 +380,12 @@ class Simulator {
   std::vector<Mailbox> inbox_;         // nodes_ + 1, last = global
   std::vector<uint64_t> creator_seq_;  // per-node creation counters
   uint64_t global_creator_seq_ = 0;
-  // Current per-lane window boundaries B_n (uniform in reference mode).
-  // Written by the coordinator between windows, read by workers for the
-  // cross-push CHECK; the barrier's release/arrive ordering publishes it.
+  // Current per-lane window boundaries B_n. Written by the coordinator
+  // between windows, read by workers for the cross-push CHECK; the
+  // barrier's release/arrive ordering publishes it.
   std::vector<Time> win_end_lane_;
   // Last executed time per lane (nodes_ + 1, last = global): the
-  // conservative-safety invariant — no policy may let a lane's clock run
+  // conservative-safety invariant — no window plan may let a lane's clock run
   // backwards (CHECK-enforced in execute()).
   std::vector<Time> lane_last_exec_;
   uint64_t windows_ = 0;
@@ -425,7 +415,7 @@ class Simulator {
   // next full boundary rebuilds the front heap before planning.
   bool fronts_dirty_ = false;
 
-  // Adaptive-window inputs. Armed counts are bumped at wiring and
+  // Window-horizon inputs. Armed counts are bumped at wiring and
   // decremented from whichever worker runs the injection; they only
   // decrease during a window, so a boundary read is conservative.
   std::unique_ptr<std::atomic<uint64_t>[]> armed_cross_;

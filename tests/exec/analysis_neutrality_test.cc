@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "exec/implicit_exec.h"
-#include "exec/spmd_exec.h"
 #include "testing/fig2.h"
 
 namespace cr::exec {

@@ -8,8 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "exec/implicit_exec.h"
 #include "exec/sequential_exec.h"
-#include "exec/spmd_exec.h"
 #include "testing/fig2.h"
 
 namespace cr::exec {
@@ -85,9 +85,10 @@ void expect_matches_oracle(const Shape& shape,
   testing::Fig2 fig(rt.forest(), shape.elements, shape.colors, shape.steps);
   SequentialResult oracle = run_sequential(fig.program);
 
-  PreparedRun run = spmd ? prepare_spmd(rt, fig.program, CostModel{}, options)
-                         : prepare_implicit(rt, fig.program, CostModel{},
-                                            options);
+  PreparedRun run = prepare(
+      rt, fig.program,
+      {.pipeline = options,
+       .mode = spmd ? ExecMode::kSpmd : ExecMode::kImplicit});
   ExecutionResult res = run.run();
   EXPECT_GT(res.makespan_ns, 0u);
   EXPECT_GT(res.point_tasks, 0u);
@@ -186,8 +187,9 @@ TEST(Scaling, SpmdBeatsImplicitAtScale) {
     testing::Fig2 fig(rt.forest(), 64 * 64, nodes, 10);
     // Kill kernels: virtual-only.
     for (auto& t : fig.program.tasks) t.kernel = nullptr;
-    PreparedRun run = spmd ? prepare_spmd(rt, fig.program, cost, {})
-                           : prepare_implicit(rt, fig.program, cost, {});
+    PreparedRun run = prepare(
+        rt, fig.program,
+        {.cost = cost, .mode = spmd ? ExecMode::kSpmd : ExecMode::kImplicit});
     return run.run().makespan_ns;
   };
   const sim::Time implicit_ns = run_mode(false);
@@ -199,7 +201,7 @@ TEST(Scaling, SpmdBeatsImplicitAtScale) {
 TEST(Stats, SpmdSkipsEmptyPairsWithIntersections) {
   rt::Runtime rt(runtime_config(4, 4, CostModel{}, /*real_data=*/true));
   testing::Fig2 fig(rt.forest(), 64, 8, 2);
-  PreparedRun run = prepare_spmd(rt, fig.program, CostModel{}, {});
+  PreparedRun run = prepare(rt, fig.program, {});
   ExecutionResult res = run.run();
   // The halo image only touches neighbor blocks: far fewer than 8x8
   // pairs per iteration move data.
@@ -245,7 +247,7 @@ TEST(MultiFragment, TwoLoopsSplitBySingleTaskMatchOracle) {
   p.body.push_back(loop2);
 
   SequentialResult oracle = run_sequential(p);
-  PreparedRun run = prepare_spmd(rt, p, CostModel{}, {});
+  PreparedRun run = prepare(rt, p, {});
   ASSERT_TRUE(run.report.applied) << run.report.failure;
 
   // Two shard bodies in the transformed program.

@@ -56,7 +56,7 @@ void unroll_program(Simulator& sim, RunResult& out) {
     sim.schedule_at(t, [&out] { ++out.serial_execs; });
   }
   // A deferred merge completion (kMergeCreator key) — the other serial
-  // producer; adaptive mode requires a registered influence floor, and
+  // producer; the window planner requires a registered influence floor, and
   // every completion must be armed at wiring time (the elision gate).
   sim.note_global_influence_floor(kLookahead);
   sim.note_merge_armed();

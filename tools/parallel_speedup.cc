@@ -15,7 +15,7 @@
 //   parallel_speedup [--app=stencil|circuit|pennant|miniaero]
 //                    [--nodes=<n>] [--steps=<n>]
 //                    [--max-workers=<n>] [--reps=<n>] [--warmup=<n>]
-//                    [--pin] [--global-window] [--no-elide] [--json=<path>]
+//                    [--pin] [--no-elide] [--json=<path>]
 //                    [--require-speedup=<x>] [--host-trace=<path>]
 //                    [--host-report=<path>]
 //
@@ -56,7 +56,6 @@ struct ToolOptions {
   uint32_t reps = 3;
   uint32_t warmup = 1;
   bool pin = false;
-  bool global_window = false;
   bool no_elide = false;
   std::string json_path;
   std::string host_trace_path;
@@ -144,7 +143,6 @@ OneRun run_once(const ToolOptions& opt, uint32_t workers,
   ecfg.cost = cost;
   ecfg.mode = cr::exec::ExecMode::kSpmd;
   ecfg.workers = workers;
-  ecfg.adaptive_window = !opt.global_window;
   ecfg.elide_boundaries = !opt.no_elide;
   ecfg.pin_workers = opt.pin;
   ecfg.host_profile = profile && workers >= 1;
@@ -221,7 +219,7 @@ int usage(const char* argv0) {
       "usage: %s [--app=stencil|circuit|pennant|miniaero]\n"
       "          [--nodes=<n>] [--steps=<n>]\n"
       "          [--max-workers=<n>] [--reps=<n>] [--warmup=<n>] [--pin]\n"
-      "          [--global-window] [--no-elide] [--json=<path>]\n"
+      "          [--no-elide] [--json=<path>]\n"
       "          [--require-speedup=<x>]\n"
       "          [--host-trace=<path>] [--host-report=<path>]\n",
       argv0);
@@ -239,8 +237,6 @@ void write_json(const ToolOptions& opt, const std::vector<Measured>& runs,
   std::fprintf(f, "  \"steps\": %llu,\n",
                static_cast<unsigned long long>(opt.steps));
   std::fprintf(f, "  \"pin\": %s,\n", opt.pin ? "true" : "false");
-  std::fprintf(f, "  \"window_policy\": \"%s\",\n",
-               opt.global_window ? "global" : "adaptive");
   std::fprintf(f, "  \"elide_boundaries\": %s,\n",
                opt.no_elide ? "false" : "true");
   std::fprintf(f, "  \"series\": [\n");
@@ -321,8 +317,6 @@ int main(int argc, char** argv) {
       opt.warmup = static_cast<uint32_t>(std::atoi(val("--warmup=")));
     } else if (arg == "--pin") {
       opt.pin = true;
-    } else if (arg == "--global-window") {
-      opt.global_window = true;
     } else if (arg == "--no-elide") {
       opt.no_elide = true;
     } else if (arg.rfind("--json=", 0) == 0) {
@@ -344,10 +338,9 @@ int main(int argc, char** argv) {
     runs.push_back(measure(opt, w));
   }
 
-  std::printf("%s, %u nodes, %llu steps, %s windows%s%s, median of %u\n",
+  std::printf("%s, %u nodes, %llu steps%s%s, median of %u\n",
               opt.app.c_str(), opt.nodes,
               static_cast<unsigned long long>(opt.steps),
-              opt.global_window ? "global" : "adaptive",
               opt.no_elide ? ", no-elide" : "", opt.pin ? ", pinned" : "",
               opt.reps);
   std::printf("%-10s %16s %10s %8s %12s %12s %10s %12s\n", "backend",
