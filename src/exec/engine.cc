@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdio>
 #include <deque>
-#include <mutex>
 
 #include "exec/trace_replay.h"
 #include "passes/shard_creation.h"
@@ -575,27 +574,46 @@ struct Engine::Impl {
 
   // Quiescence tracking: every issued operation must complete by the end
   // of the run; a nonzero count at drain means an event cycle (a
-  // transformation or executor bug), which must fail loudly. The
-  // completion subscriptions fire on whichever simulator worker runs the
-  // final cascade, so the bookkeeping is thread-safe (registration is
-  // unroll-time single-threaded; only the erase path is concurrent).
+  // transformation or executor bug), which must fail loudly. Each op is
+  // a dense id with what names it; labels are formatted only on that
+  // failure path. The completion subscriptions fire on whichever
+  // simulator worker runs the final cascade: registration is unroll-time
+  // single-threaded (the table never grows during the run) and each
+  // completion writes only its own op's flag.
+  enum class OpKind : uint8_t { kTask, kSingle, kFill };
+  struct TrackedOp {
+    OpKind kind;
+    bool done = false;
+    uint32_t id;     // task decl (task, single) or fill partition
+    uint64_t color;  // task, fill
+  };
   struct LiveOps {
     std::atomic<uint64_t> count{0};
-    std::mutex mu;
-    std::map<uint64_t, std::string> stuck;  // id -> label
-    uint64_t next = 0;
+    std::vector<TrackedOp> ops;
   };
   std::shared_ptr<LiveOps> live_ops_ = std::make_shared<LiveOps>();
-  void track(sim::Event completion, std::string label = {}) {
-    auto live = live_ops_;
-    const uint64_t id = live->next++;
-    live->count.fetch_add(1, std::memory_order_relaxed);
-    live->stuck.emplace(id, std::move(label));
-    completion.subscribe([live, id](sim::Time) {
+  void track(sim::Event completion, OpKind kind, uint32_t id,
+             uint64_t color = 0) {
+    const size_t op = live_ops_->ops.size();
+    live_ops_->ops.push_back({kind, false, id, color});
+    live_ops_->count.fetch_add(1, std::memory_order_relaxed);
+    completion.subscribe([live = live_ops_, op](sim::Time) {
+      live->ops[op].done = true;
       live->count.fetch_sub(1, std::memory_order_relaxed);
-      std::lock_guard<std::mutex> lock(live->mu);
-      live->stuck.erase(id);
     });
+  }
+  std::string op_label(const TrackedOp& op) const {
+    switch (op.kind) {
+      case OpKind::kTask:
+        return "task " + p_.task(op.id).name + "[" +
+               std::to_string(op.color) + "]";
+      case OpKind::kSingle:
+        return "single " + p_.task(op.id).name;
+      case OpKind::kFill:
+        return "fill " + std::to_string(op.id) + "[" +
+               std::to_string(op.color) + "]";
+    }
+    return {};
   }
 
   // =====================================================================
@@ -913,7 +931,7 @@ struct Engine::Impl {
     // arrivals, run-ahead gating, reduction folds) consume.
     sim::Event home = localize(done.event(), exec_node, ctx.node);
     ctx.outstanding.push_back(home);
-    track(done.event(), "task " + decl.name + "[" + std::to_string(color) + "]");
+    track(done.event(), OpKind::kTask, s.task, color);
     gate_window(ctx, home);
     if (red != nullptr) {
       red->events[ctx.shard == kMainEnv ? 0 : ctx.shard].push_back(home);
@@ -1007,7 +1025,7 @@ struct Engine::Impl {
       t->alias(done.event().uid(), task_done.uid());
     }
     ctx.outstanding.push_back(done.event());
-    track(done.event(), "single " + decl.name);
+    track(done.event(), OpKind::kSingle, s.task);
   }
 
   // --- scalar ops -----------------------------------------------------------
@@ -1289,8 +1307,7 @@ struct Engine::Impl {
                      uids_of(pre), done.uid(), c, ctx.shard, "fill");
         }
         ctx.outstanding.push_back(localize(done, ref.node, ctx.node));
-        track(done, "fill " + std::to_string(s.fill_dst) + "[" +
-                        std::to_string(c) + "]");
+        track(done, OpKind::kFill, s.fill_dst, c);
       }
     }
   }
@@ -1687,8 +1704,9 @@ ExecutionResult Engine::run() {
   if (impl_->live_ops_->count != 0) {
     std::string msg = "execution did not quiesce; stuck ops:";
     int shown = 0;
-    for (const auto& [id, label] : impl_->live_ops_->stuck) {
-      msg += "\n  " + label;
+    for (const auto& op : impl_->live_ops_->ops) {
+      if (op.done) continue;
+      msg += "\n  " + impl_->op_label(op);
       if (++shown >= 20) break;
     }
     CR_CHECK_MSG(false, msg.c_str());

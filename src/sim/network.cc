@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -24,6 +25,12 @@ Time serialization_time(uint64_t bytes, double bandwidth) {
       std::ceil(static_cast<double>(bytes) / bandwidth));
 }
 
+// A send's payload hooks (Network::send), allocated only when present.
+struct SendHooks {
+  std::function<void()> on_delivery;
+  std::function<void()> on_inject;
+};
+
 }  // namespace
 
 Network::Network(Simulator& sim, uint32_t nodes, NetworkConfig config)
@@ -37,26 +44,24 @@ Event Network::send(uint32_t src, uint32_t dst, uint64_t bytes,
                     std::function<void()> on_inject) {
   CR_CHECK(src < nic_free_.size() && dst < nic_free_.size());
   UserEvent delivered(*sim_);
-  auto work = on_delivery
-                  ? std::make_shared<std::function<void()>>(
-                        std::move(on_delivery))
-                  : nullptr;
-  auto stage = on_inject
-                   ? std::make_shared<std::function<void()>>(
-                         std::move(on_inject))
-                   : nullptr;
-  const uint64_t pre_uid = precondition.uid();
-  const uint64_t delivered_uid = delivered.event().uid();
+  // The payload hooks, allocated only when present: synchronization
+  // notifications and virtual-only copies carry none.
+  std::unique_ptr<SendHooks> hooks;
+  if (on_delivery || on_inject) {
+    hooks.reset(new SendHooks{std::move(on_delivery), std::move(on_inject)});
+  }
   // Arm before subscribing: the subscription may run inline when the
   // precondition has already triggered, and the fired note must never
   // precede its arm. While armed, the source lane's queue front bounds
   // its outbound influence (the adaptive window input).
   if (src != dst) sim_->note_cross_send_armed(src);
-  precondition.subscribe([this, src, dst, bytes, work, stage, delivered,
-                          pre_uid, delivered_uid](Time ready) mutable {
+  auto on_ready = [this, src, dst, bytes, delivered,
+                   pre_uid = precondition.uid(),
+                   hooks = std::move(hooks)](Time ready) mutable {
     messages_.fetch_add(1, std::memory_order_relaxed);
     bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    if (stage) (*stage)();
+    if (hooks && hooks->on_inject) hooks->on_inject();
+    const uint64_t delivered_uid = delivered.event().uid();
     Time arrive;
     support::Tracer* t = sim_->tracer();
     if (src == dst) {
@@ -97,15 +102,25 @@ Event Network::send(uint32_t src, uint32_t dst, uint64_t bytes,
     }
     // The delivery runs on the destination node: its side effects (the
     // payload landing, the consumer cascade) belong to dst's partition.
-    sim_->schedule_at_affine(arrive, dst, [work, delivered]() mutable {
-      if (work) (*work)();
-      delivered.trigger();
-    });
+    if (hooks && hooks->on_delivery) {
+      sim_->schedule_at_affine(
+          arrive, dst,
+          [work = std::move(hooks->on_delivery), delivered]() mutable {
+            work();
+            delivered.trigger();
+          });
+    } else {
+      auto deliver = [delivered]() mutable { delivered.trigger(); };
+      static_assert(Callback<void()>::fits_inline<decltype(deliver)>);
+      sim_->schedule_at_affine(arrive, dst, std::move(deliver));
+    }
     // Disarm only after the delivery is enqueued: from this point the
     // message's influence is visible to the window computation as a
     // pending destination entry instead of an armed source send.
     if (src != dst) sim_->note_cross_send_fired(src);
-  });
+  };
+  static_assert(Callback<void(Time)>::fits_inline<decltype(on_ready)>);
+  precondition.subscribe(std::move(on_ready));
   return delivered.event();
 }
 

@@ -1,5 +1,6 @@
 #include "sim/processor.h"
 
+#include <memory>
 #include <utility>
 
 #include "sim/simulator.h"
@@ -8,16 +9,24 @@
 
 namespace cr::sim {
 
+namespace {
+// What a spawn carries beyond the virtual-time essentials, allocated only
+// when present: most spawns have no kernel and, untraced, no tag.
+struct SpawnCold {
+  std::function<void()> work;
+  support::TraceTag tag;
+};
+}  // namespace
+
 Event Processor::spawn(Event precondition, Time duration,
                        std::function<void()> work, support::TraceTag tag) {
   UserEvent done(*sim_);
-  auto work_ptr =
-      work ? std::make_shared<std::function<void()>>(std::move(work))
-           : nullptr;
-  const uint64_t pre_uid = precondition.uid();
-  const uint64_t done_uid = done.event().uid();
-  precondition.subscribe([this, duration, work_ptr, done, pre_uid, done_uid,
-                          tag = std::move(tag)](Time ready) mutable {
+  std::unique_ptr<SpawnCold> cold;
+  if (work || !tag.empty() || tag.category != support::TraceCategory::kCompute) {
+    cold.reset(new SpawnCold{std::move(work), std::move(tag)});
+  }
+  auto pickup = [this, duration, done, pre_uid = precondition.uid(),
+                 cold = std::move(cold)](Time ready) mutable {
     // FIFO in ready order: the core picks this item up when it next goes
     // idle at or after `ready`.
     // This pickup mutates the core's schedule (next_free_, busy_): under
@@ -40,23 +49,27 @@ Event Processor::spawn(Event precondition, Time duration,
     next_free_ = end;
     busy_ += eff;
     if (support::Tracer* t = sim_->tracer()) {
+      support::TraceTag tag = cold ? std::move(cold->tag) : support::TraceTag{};
       const support::SpanId span = t->add_span(
           id_.node, id_.core, tag.category,
           tag.empty() ? "work" : std::move(tag.name), start, end);
       t->edge(pre_uid, span);
-      t->bind(done_uid, span);
+      t->bind(done.event().uid(), span);
     }
     // Both entries are affine to this core's node: the work side effects
     // and the completion cascade (which picks up queued successors on
     // this node) must execute on the node's worker even when the pickup
     // itself ran in a serial phase (e.g. a barrier release).
-    if (work_ptr) {
+    if (cold && cold->work) {
       sim_->schedule_at_affine(start, id_.node,
-                               [work_ptr] { (*work_ptr)(); });
+                               [w = std::move(cold->work)] { w(); });
     }
-    sim_->schedule_at_affine(end, id_.node,
-                             [done]() mutable { done.trigger(); });
-  });
+    auto complete = [done]() mutable { done.trigger(); };
+    static_assert(Callback<void()>::fits_inline<decltype(complete)>);
+    sim_->schedule_at_affine(end, id_.node, std::move(complete));
+  };
+  static_assert(Callback<void(Time)>::fits_inline<decltype(pickup)>);
+  precondition.subscribe(std::move(pickup));
   return done.event();
 }
 

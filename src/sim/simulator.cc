@@ -8,6 +8,7 @@
 #include <string>
 #include <utility>
 
+#include "sim/pool.h"
 #include "support/check.h"
 #include "support/topology.h"
 #include "support/trace.h"
@@ -35,6 +36,22 @@ struct FrontLater {
     return a.first > b.first;
   }
 };
+}  // namespace
+
+namespace detail {
+void TaskDelete::operator()(Task* t) const { pool_delete(t); }
+}  // namespace detail
+
+size_t event_pool_chunks_for_testing() {
+  return Pool<detail::EventState>::chunks_for_testing() +
+         Pool<detail::Waiter>::chunks_for_testing() +
+         Pool<detail::Task>::chunks_for_testing();
+}
+
+namespace {
+detail::TaskPtr make_task(Callback<void()>&& fn) {
+  return detail::TaskPtr(pool_new<detail::Task>(std::move(fn)));
+}
 }  // namespace
 
 thread_local Simulator::ExecCtx Simulator::tls_;
@@ -81,11 +98,11 @@ uint64_t Simulator::new_event_uid() {
   return ++next_event_uid_;
 }
 
-void Simulator::schedule_at(Time t, std::function<void()> fn) {
+void Simulator::schedule_at(Time t, Callback<void()> fn) {
   if (!windowed_) {
     CR_CHECK_MSG(t >= now_, "cannot schedule into the past");
     queue_.push(Entry{t, next_seq_++, current_cause_, kNoAffinity,
-                      std::move(fn)});
+                      make_task(std::move(fn))});
     if (queue_.size() > max_queue_depth_) max_queue_depth_ = queue_.size();
     return;
   }
@@ -105,12 +122,12 @@ void Simulator::schedule_at(Time t, std::function<void()> fn) {
   push_windowed(t, target, creator, cseq, std::move(fn));
 }
 
-void Simulator::schedule_after(Time dt, std::function<void()> fn) {
+void Simulator::schedule_after(Time dt, Callback<void()> fn) {
   schedule_at(now() + dt, std::move(fn));
 }
 
 void Simulator::schedule_at_affine(Time t, uint32_t node,
-                                   std::function<void()> fn) {
+                                   Callback<void()> fn) {
   if (!windowed_) {
     schedule_at(t, std::move(fn));
     return;
@@ -130,7 +147,7 @@ void Simulator::schedule_at_affine(Time t, uint32_t node,
 }
 
 void Simulator::schedule_merge_completion(Time t, uint64_t merge_uid,
-                                          std::function<void()> fn) {
+                                          Callback<void()> fn) {
   if (!windowed_) {
     schedule_at(t, std::move(fn));
     return;
@@ -190,8 +207,8 @@ void Simulator::note_lane_front(uint32_t n, Time t) {
 }
 
 void Simulator::push_windowed(Time t, uint32_t target, uint32_t creator,
-                              uint64_t cseq, std::function<void()> fn) {
-  Entry e{t, cseq, current_cause(), creator, std::move(fn)};
+                              uint64_t cseq, Callback<void()> fn) {
+  Entry e{t, cseq, current_cause(), creator, make_task(std::move(fn))};
   const bool from_worker =
       running_ && in_context() && tls_.affinity != kNoAffinity;
   pending_windowed_.fetch_add(1, std::memory_order_relaxed);
@@ -268,13 +285,13 @@ Time Simulator::run() {
     auto& top = const_cast<Entry&>(queue_.top());
     Time t = top.time;
     uint64_t cause = top.cause;
-    auto fn = std::move(top.fn);
+    detail::TaskPtr task = std::move(top.task);
     queue_.pop();
     CR_CHECK(t >= now_);
     now_ = t;
     current_cause_ = cause;
     ++events_processed_;
-    fn();
+    task->fn();
     current_cause_ = 0;
   }
   running_ = false;
@@ -608,7 +625,7 @@ void Simulator::execute(const Entry& e, uint32_t affinity,
     wd_worker_win_[w].store(windows_, std::memory_order_relaxed);
     wd_heartbeat_.fetch_add(1, std::memory_order_relaxed);
   }
-  e.fn();
+  e.task->fn();
   tls_.cause = 0;
 }
 
@@ -633,7 +650,7 @@ void Simulator::process_nodes(uint32_t worker, uint64_t* processed,
     if (tracer != nullptr) support::Tracer::set_thread_lane(n);
     while (!q.empty() && q.top().time < window_end) {
       auto& top = const_cast<Entry&>(q.top());
-      Entry e{top.time, top.seq, top.cause, top.creator, std::move(top.fn)};
+      Entry e{top.time, top.seq, top.cause, top.creator, std::move(top.task)};
       q.pop();
       execute(e, n, processed, max_time);
     }
@@ -782,7 +799,7 @@ Time Simulator::run_windowed(uint32_t workers) {
         wd_heartbeat_.fetch_add(1, std::memory_order_relaxed);
       }
       auto& top = const_cast<Entry&>(global_q_.top());
-      Entry e{top.time, top.seq, top.cause, top.creator, std::move(top.fn)};
+      Entry e{top.time, top.seq, top.cause, top.creator, std::move(top.task)};
       global_q_.pop();
       tls_.owner = this;
       tls_.affinity = kNoAffinity;

@@ -62,6 +62,7 @@
 #include <thread>
 #include <vector>
 
+#include "sim/callback.h"
 #include "sim/event.h"
 #include "sim/event_graph.h"
 #include "sim/window_barrier.h"
@@ -79,6 +80,22 @@ namespace cr::sim {
 // completing host thread never influences the schedule.
 inline constexpr uint32_t kNoAffinity = UINT32_MAX;
 inline constexpr uint32_t kMergeCreator = UINT32_MAX - 1;
+
+namespace detail {
+// A scheduled callable, pooled (sim/pool.h) and owned by its queue entry.
+struct Task {
+  Callback<void()> fn;
+};
+struct TaskDelete {
+  void operator()(Task* t) const;
+};
+using TaskPtr = std::unique_ptr<Task, TaskDelete>;
+}  // namespace detail
+
+// Chunks carved by the event engine's pools (event states, waiter nodes,
+// queue callables), summed. Test-only: repeated runs must reuse blocks
+// released on worker threads instead of carving new chunks.
+size_t event_pool_chunks_for_testing();
 
 // One executed entry, as recorded by set_exec_log (windowed mode only):
 // the per-node execution orders are the determinism witness the property
@@ -124,14 +141,14 @@ class Simulator {
   // Schedule fn at absolute virtual time t (>= now()). In windowed mode
   // the entry inherits the ambient affinity (callbacks stay on the node
   // that scheduled them; coordinator/unroll scheduling is global).
-  void schedule_at(Time t, std::function<void()> fn);
+  void schedule_at(Time t, Callback<void()> fn);
   // Schedule fn dt ns from now.
-  void schedule_after(Time dt, std::function<void()> fn);
+  void schedule_after(Time dt, Callback<void()> fn);
   // Schedule fn at t with an explicit node affinity: the callback runs
   // on (and may touch the state of) node `node`. Cross-node scheduling
   // from a worker requires t >= the destination's window boundary —
   // which the network latency guarantees (CHECK-enforced).
-  void schedule_at_affine(Time t, uint32_t node, std::function<void()> fn);
+  void schedule_at_affine(Time t, uint32_t node, Callback<void()> fn);
   // Schedule a merge completion at t, keyed (t, kMergeCreator,
   // merge_uid): any worker may request it, the key never depends on
   // which one did. Runs in the serial phase (global affinity). Every
@@ -140,7 +157,7 @@ class Simulator {
   // planner from eliding serial phases while a completion could still
   // appear from a worker at an unknown time.
   void schedule_merge_completion(Time t, uint64_t merge_uid,
-                                 std::function<void()> fn);
+                                 Callback<void()> fn);
 
   // Run until the queue drains (sequential reference loop). Returns the
   // final time. Must not be mixed with begin_windowed().
@@ -270,12 +287,14 @@ class Simulator {
   uint64_t elided_boundaries() const { return elided_boundaries_; }
 
  private:
+  // A queue entry is its ordering key plus an owning handle to the
+  // pooled callable, so heap sifts move 40 bytes and never a closure.
   struct Entry {
     Time time;
     uint64_t seq;    // legacy: global insertion seq; windowed: creator seq
     uint64_t cause;  // ambient current_cause() at schedule time
     uint32_t creator = kNoAffinity;  // windowed tie-break: creating affinity
-    std::function<void()> fn;
+    detail::TaskPtr task;
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
@@ -312,7 +331,7 @@ class Simulator {
 
   bool in_context() const { return tls_.owner == this; }
   void push_windowed(Time t, uint32_t target, uint32_t creator,
-                     uint64_t cseq, std::function<void()> fn);
+                     uint64_t cseq, Callback<void()> fn);
   void execute(const Entry& e, uint32_t affinity, uint64_t* processed,
                Time* max_time);
   void process_nodes(uint32_t worker, uint64_t* processed, Time* max_time);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "sim/event_graph.h"
 #include "sim/simulator.h"
 
 namespace cr::sim {
@@ -80,6 +83,115 @@ TEST(Event, MergeMixedTriggeredAndPending) {
   sim.run();
   EXPECT_TRUE(m.has_triggered());
   EXPECT_EQ(m.trigger_time(), 5u);
+}
+
+TEST(UserEvent, WaitersRunInSubscriptionOrder) {
+  Simulator sim;
+  UserEvent ue(sim);
+  std::vector<int> order;
+  for (int i = 0; i < 6; ++i) {
+    ue.event().subscribe([&order, i](Time) { order.push_back(i); });
+  }
+  sim.schedule_at(3, [&] { ue.trigger(); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+}
+
+TEST(UserEvent, SubscribeDuringCascadeRunsImmediately) {
+  Simulator sim;
+  UserEvent ue(sim);
+  std::vector<int> order;
+  const Event e = ue.event();
+  e.subscribe([&order, e](Time) {
+    order.push_back(0);
+    e.subscribe([&order](Time) { order.push_back(1); });
+  });
+  e.subscribe([&order](Time) { order.push_back(2); });
+  ue.trigger();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(Event, HandleOutlivesUserEventAndClosures) {
+  Simulator sim;
+  Event kept;
+  {
+    UserEvent ue(sim);
+    kept = ue.event();
+    // A waiter holding another handle, and the trigger closure holding
+    // the UserEvent: both are gone once the run drains.
+    ue.event().subscribe([also = ue.event()](Time) {});
+    sim.schedule_at(7, [ue]() mutable { ue.trigger(); });
+  }
+  sim.run();
+  EXPECT_TRUE(kept.has_triggered());
+  EXPECT_EQ(kept.trigger_time(), 7u);
+  EXPECT_NE(kept.uid(), 0u);
+}
+
+TEST(Event, StateIsNotReusedWhileAHandleLives) {
+  Simulator sim;
+  Event kept;
+  uint64_t uid = 0;
+  {
+    UserEvent ue(sim);
+    kept = ue.event();
+    uid = kept.uid();
+    sim.schedule_at(5, [ue]() mutable { ue.trigger(); });
+    sim.run();
+  }
+  // The pool recycles most-recently-freed storage first: a state freed
+  // too early would come straight back as one of these.
+  std::vector<UserEvent> fresh;
+  for (int i = 0; i < 1000; ++i) {
+    fresh.emplace_back(sim);
+    EXPECT_FALSE(fresh.back().event() == kept);
+  }
+  fresh.clear();
+  EXPECT_EQ(kept.uid(), uid);
+  EXPECT_EQ(kept.trigger_time(), 5u);
+  EXPECT_TRUE(kept.has_triggered());
+}
+
+TEST(Event, MergeCountdownOverMixedInputs) {
+  Simulator sim;
+  UserEvent done_early(sim), a(sim), b(sim);
+  done_early.trigger();  // at time 0, before the merge is wired
+  // Triggered, pending, the no-event, and a pending input listed twice:
+  // the countdown covers exactly the pending entries.
+  Event m = Event::merge(sim, {done_early.event(), a.event(), Event(),
+                               b.event(), a.event()});
+  int fired = 0;
+  Time seen = 0;
+  m.subscribe([&](Time t) {
+    ++fired;
+    seen = t;
+  });
+  sim.schedule_at(10, [&] { a.trigger(); });
+  sim.schedule_at(15, [&] { EXPECT_FALSE(m.has_triggered()); });
+  sim.schedule_at(20, [&] { b.trigger(); });
+  sim.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(seen, 20u);
+  EXPECT_EQ(m.trigger_time(), 20u);
+}
+
+TEST(Event, SubscribeAfterTriggerRecordsCausalEdge) {
+  Simulator sim;
+  EventGraph graph;
+  sim.set_event_graph(&graph);
+  UserEvent cause(sim), effect(sim);
+  cause.trigger();
+  // The subscription runs inline; whatever it triggers is caused by the
+  // already-triggered event.
+  cause.event().subscribe([effect](Time) mutable { effect.trigger(); });
+  bool found = false;
+  for (const auto& [from, to] : graph.edges()) {
+    if (from == cause.event().uid() && to == effect.event().uid()) {
+      found = true;
+    }
+  }
+  EXPECT_TRUE(found);
+  sim.set_event_graph(nullptr);
 }
 
 }  // namespace
