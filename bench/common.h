@@ -167,11 +167,6 @@ struct BenchOptions {
   // --pin: topology-pin the windowed backend's host threads to distinct
   // physical cores (ExecConfig::pin_workers). Host-side only.
   bool pin = false;
-  // --no-elide: disable boundary elision in the windowed backend
-  // (ExecConfig::elide_boundaries = false), forcing the full serial
-  // park/drain/release protocol at every window boundary.
-  // Equivalence-testing knob; virtual results are bit-identical.
-  bool no_elide = false;
   // --replay: capture & replay steady-state dependence-analysis traces
   // (ExecConfig::trace_replay). Only engages for implicit runs that
   // track dependences; virtual results are bit-identical either way.
@@ -228,10 +223,6 @@ struct BenchOptions {
     flags.add_flag("pin",
                    "pin simulation workers to distinct physical cores",
                    &pin);
-    flags.add_flag("no-elide",
-                   "disable window-boundary elision (full serial "
-                   "boundary at every window)",
-                   &no_elide);
     flags.add_string("host-trace", "<path>",
                      "host-phase profile of the windowed backend "
                      "(Chrome trace + HOST_phases report)",
@@ -332,7 +323,6 @@ class Bench {
         cfg.watchdog_ms = static_cast<uint64_t>(options_.watchdog_ms);
       }
     }
-    cfg.elide_boundaries = !options_.no_elide;
     cfg.trace_replay = options_.replay;
     cfg.mapper.name = options_.mapper;
     cfg.mapper.seed = static_cast<uint64_t>(options_.mapper_seed);

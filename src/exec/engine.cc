@@ -33,7 +33,6 @@ struct Engine::Impl {
         cost_(config.cost),
         mode_(config.mode),
         workers_(config.workers),
-        elide_boundaries_(config.elide_boundaries),
         pin_workers_(config.pin_workers),
         host_profile_(config.host_profile),
         watchdog_ms_(config.watchdog_ms),
@@ -45,6 +44,7 @@ struct Engine::Impl {
     // Install the configured placement policy before anything queries
     // placement (ExecConfig::mapper is the one way to configure it).
     rt_.select_mapper(config.mapper);
+    proc_rr_.assign(rt_.machine().nodes(), 0);
     // Trace replay only makes sense where dependence analysis runs at
     // all; everywhere else the flag is an inert no-op (the SPMD legs of
     // the equivalence suites assert exactly that).
@@ -184,7 +184,13 @@ struct Engine::Impl {
     std::vector<SyncEdge> writers;  // the current write epoch
   };
 
-  std::map<std::pair<rt::PartitionId, uint64_t>, InstanceRef> part_inst_;
+  // Per-partition instance slots indexed by color. Callers hold
+  // InstanceRef pointers across later lookups, so slot addresses must
+  // stay stable: each inner vector is sized to its partition's color
+  // count once, on first touch, and growing the outer vector moves the
+  // inner ones without moving their elements. An untouched slot has
+  // region == kNoId.
+  std::vector<std::vector<InstanceRef>> part_inst_;
   std::map<rt::RegionId, InstanceRef> root_inst_;
   std::vector<std::unique_ptr<InstanceSync>> sync_;
 
@@ -205,21 +211,26 @@ struct Engine::Impl {
   }
 
   InstanceRef& part_instance(rt::PartitionId p, uint64_t color) {
-    auto [it, inserted] = part_inst_.try_emplace({p, color});
-    if (inserted) {
+    if (p >= part_inst_.size()) {
+      CR_CHECK(p < forest().num_partitions());
+      part_inst_.resize(forest().num_partitions());
+    }
+    std::vector<InstanceRef>& slots = part_inst_[p];
+    if (slots.empty()) slots.resize(forest().partition(p).subregions.size());
+    CR_CHECK(color < slots.size());
+    InstanceRef& ref = slots[color];
+    if (ref.region == rt::kNoId) {
       const rt::PartitionNode& pn = forest().partition(p);
-      CR_CHECK(color < pn.subregions.size());
-      it->second.region = pn.subregions[color];
-      it->second.node = rt_.mapper().node_of_color(
+      ref.region = pn.subregions[color];
+      ref.node = rt_.mapper().node_of_color(
           color, rt::LaunchShape{pn.subregions.size(), weights_of(p)});
       if (rt_.instances() != nullptr) {
-        it->second.inst =
-            rt_.instances()->create(it->second.region, it->second.node);
+        ref.inst = rt_.instances()->create(ref.region, ref.node);
       }
-      it->second.key = static_cast<uint32_t>(sync_.size());
+      ref.key = static_cast<uint32_t>(sync_.size());
       sync_.push_back(std::make_unique<InstanceSync>());
     }
-    return it->second;
+    return ref;
   }
 
   InstanceRef& root_instance(rt::RegionId root) {
@@ -446,7 +457,6 @@ struct Engine::Impl {
     m.counter("sim.events_processed").set(sim().events_processed());
     m.gauge("sim.queue.max_depth").set(sim().max_queue_depth());
     m.counter("sim.windows").set(sim().windows());
-    m.counter("sim.windows_elided").set(sim().elided_boundaries());
     m.counter("sim.net.messages").set(rt_.network().messages_sent());
     m.counter("sim.net.bytes").set(rt_.network().bytes_sent());
     support::Histogram& busy = m.histogram("sim.proc.busy_ns");
@@ -547,7 +557,13 @@ struct Engine::Impl {
   // --- misc ---------------------------------------------------------------
 
   ExecutionResult result_;
-  std::map<uint32_t, uint64_t> proc_rr_;  // per-node round-robin counter
+  std::vector<uint64_t> proc_rr_;  // per-node round-robin counter
+
+  // The compute processor for the next task placed on `node`.
+  sim::ProcId next_compute_proc(uint32_t node) {
+    CR_CHECK(node < proc_rr_.size());
+    return rt_.mapper().compute_proc(node, proc_rr_[node]++);
+  }
   uint64_t op_id_ = 0;
 
   // Steady-state trace capture & replay (ExecConfig::trace_replay);
@@ -910,8 +926,7 @@ struct Engine::Impl {
     if (has_kernel) {
       work = make_kernel_work(decl, color, insts, std::move(captures), red);
     }
-    sim::ProcId proc =
-        rt_.mapper().compute_proc(exec_node, proc_rr_[exec_node]++);
+    sim::ProcId proc = next_compute_proc(exec_node);
     support::TraceTag tag;
     if (tracer() != nullptr) {
       tag = {support::TraceCategory::kCompute,
@@ -1012,7 +1027,7 @@ struct Engine::Impl {
     if (has_kernel) {
       work = make_kernel_work(decl, 0, insts, std::move(captures), nullptr);
     }
-    sim::ProcId proc = rt_.mapper().compute_proc(0, proc_rr_[0]++);
+    sim::ProcId proc = next_compute_proc(0);
     support::TraceTag tag;
     if (tracer() != nullptr) {
       tag = {support::TraceCategory::kCompute, decl.name};
@@ -1290,8 +1305,7 @@ struct Engine::Impl {
             for (rt::FieldId f : fields) mgr->get(inst).fill_f64(f, value);
           };
         }
-        sim::ProcId proc =
-            rt_.mapper().compute_proc(ref.node, proc_rr_[ref.node]++);
+        sim::ProcId proc = next_compute_proc(ref.node);
         support::TraceTag tag;
         if (tracer() != nullptr) {
           tag = {support::TraceCategory::kCompute, "fill"};
@@ -1497,7 +1511,6 @@ struct Engine::Impl {
   CostModel cost_;
   ExecMode mode_;
   const uint32_t workers_;      // 0 = sequential loop, N = windowed backend
-  const bool elide_boundaries_;  // fuse serial-free window boundaries
   const bool pin_workers_;      // topology-pin the backend's host threads
   const bool host_profile_;     // host-phase spans on the windowed run
   const uint64_t watchdog_ms_;  // stall watchdog budget (0 = off)
@@ -1671,7 +1684,6 @@ ExecutionResult Engine::run() {
       s.begin_windowed(impl_->rt_.machine().nodes(),
                        impl_->rt_.network().min_cross_node_delay());
     }
-    s.set_elide_boundaries(impl_->elide_boundaries_);
     if (impl_->pin_workers_) {
       // Host-side placement only (virtual time is unaffected): spread
       // the backend's threads across distinct physical cores.

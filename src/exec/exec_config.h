@@ -36,17 +36,6 @@ struct ExecConfig {
   // multi-worker backend".
   uint32_t workers = 0;
 
-  // Boundary elision for the multi-worker backend (backend v3): fuse
-  // runs of windows whose boundaries provably have no serial work into
-  // one barrier cycle, rolling lanes between pre-planned horizons
-  // through a cheap symmetric rendezvous. True (default) = elide;
-  // false = a full serial boundary at every window, which is faster on
-  // some apps (neither setting wins everywhere). Bit-identical virtual
-  // timelines either way; only host-side boundary cost and the
-  // window-shape gauges (sim.windows, sim.windows_elided,
-  // sim.queue.max_depth) differ.
-  bool elide_boundaries = true;
-
   // Pin the backend's host threads to distinct physical cores (probed
   // via support/topology.h; no-op where unsupported). Host-side only:
   // never affects virtual time.

@@ -98,12 +98,6 @@ Event Event::merge_remote(Simulator& sim, const std::vector<Event>& events) {
   }
   if (pending == 0) return Event();
 
-  // Until the countdown completes and the deferred completion entry is
-  // actually scheduled, this merge can mint a global-lane entry at an
-  // unknown future time — the window planner must not elide boundaries
-  // while any such merge is outstanding (schedule_merge_completion
-  // drops the count).
-  sim.note_merge_armed();
   UserEvent merged(sim);
   detail::EventState* ms = merged.ev_.state_;
   ms->pending.store(pending, std::memory_order_relaxed);

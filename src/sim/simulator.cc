@@ -18,12 +18,6 @@ namespace cr::sim {
 namespace {
 constexpr Time kInfTime = std::numeric_limits<Time>::max();
 
-// Elided boundaries pre-planned per full window. Each elision advances
-// every lane by at least one lookahead, so 64 already fuses away the
-// overwhelming share of boundaries; the cap bounds the planning cost
-// (O(cap * nodes) per full window) and the horizon-schedule memory.
-constexpr uint32_t kMaxElidedPerWindow = 64;
-
 // t + dt without wrapping past the infinite horizon.
 Time sat_add(Time t, Time dt) {
   return t > kInfTime - dt ? kInfTime : t + dt;
@@ -162,12 +156,6 @@ void Simulator::schedule_merge_completion(Time t, uint64_t merge_uid,
   // Key by the merge's unroll-assigned uid: whichever host thread
   // happens to complete the countdown, the entry is identical.
   push_windowed(t, kNoAffinity, kMergeCreator, merge_uid, std::move(fn));
-  // The merge is no longer an unknown: its completion is now a plain
-  // global entry covered by the next-global-entry clamp. The planner
-  // only reads this at full boundaries (workers parked), so a relaxed
-  // decrement from whichever worker got here last is enough.
-  const uint64_t prev = pending_merges_.fetch_sub(1, std::memory_order_relaxed);
-  CR_CHECK_MSG(prev > 0, "merge completion scheduled without note_merge_armed");
 }
 
 void Simulator::note_cross_send_armed(uint32_t src) {
@@ -182,11 +170,6 @@ void Simulator::note_cross_send_fired(uint32_t src) {
   const uint64_t prev =
       armed_cross_[src].fetch_sub(1, std::memory_order_relaxed);
   CR_CHECK_MSG(prev > 0, "cross-send fired without being armed");
-}
-
-void Simulator::note_merge_armed() {
-  if (!windowed_) return;
-  pending_merges_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Simulator::note_global_influence_floor(Time delay) {
@@ -316,16 +299,10 @@ void Simulator::begin_windowed(uint32_t nodes, Time lookahead) {
   for (uint32_t n = 0; n < nodes; ++n) {
     armed_cross_[n].store(0, std::memory_order_relaxed);
   }
-  elided_boundaries_ = 0;
-  elide_count_ = 0;
-  pending_merges_.store(0, std::memory_order_relaxed);
-  elide_arrived_.store(0, std::memory_order_relaxed);
-  elide_phase_.store(0, std::memory_order_relaxed);
-  fronts_dirty_ = false;
 }
 
-void Simulator::drain_inboxes() {
-  for (uint32_t i = 0; i <= nodes_; ++i) {
+void Simulator::drain_inboxes(uint32_t lo, uint32_t hi) {
+  for (uint32_t i = lo; i < hi; ++i) {
     Mailbox& box = inbox_[i];
     if (!box.nonempty.load(std::memory_order_acquire)) continue;
     std::lock_guard<std::mutex> lock(box.mu);
@@ -373,27 +350,39 @@ Time Simulator::node_min_time() {
   return kInfTime;
 }
 
-template <typename LaneBound>
-uint32_t Simulator::solve_horizons(LaneBound bound, Time cap,
-                                   Time* ends) const {
+void Simulator::compute_window_ends(Time node_min) {
+  ++windows_;
+  // Feedback cap: a merge completion minted during this window completes
+  // at >= node_min and reaches node state no earlier than the registered
+  // floor after that (clamped to the lookahead so a degenerate
+  // single-participant tree keeps the one-lookahead envelope).
+  const Time global_cap =
+      global_q_.empty() ? kInfTime : global_q_.top().time;
+  const Time cap = std::min(
+      global_cap, global_floor_ == 0
+                      ? kInfTime
+                      : sat_add(node_min, std::max(global_floor_,
+                                                   lookahead_)));
   // The fixed point of
   //   eff_m = min(front_m, min_{x armed, x != m} eff_x + lookahead)
   // over the armed lanes (the only ones that can influence another
   // lane; arming is unroll-time-only, so the armed set never grows
-  // during the run) collapses to: the armed lane with the smallest bound
-  // (h1, at lane arg1) keeps eff = h1, and every other armed lane m
-  // (including ones with nothing queued) has eff_m = min(front_m,
+  // during the run) collapses to: the armed lane with the smallest
+  // front (h1, at lane arg1) keeps eff = h1, and every other armed lane
+  // m (including ones with nothing queued) has eff_m = min(front_m,
   // h1 + lookahead), because arg1 can reach it in one hop. A lane's
   // window end is then min over the *other* armed lanes of
   // eff + lookahead:
   //   n != arg1:  B_n = h1 + lookahead      (arg1 influences n directly)
   //   n == arg1:  B_n = min(h2 + lookahead, h1 + 2*lookahead)
-  //               (direct from the second-lowest armed bound, or a
+  //               (direct from the second-lowest armed front, or a
   //                relay of arg1's own output through any armed lane)
-  // each clamped by `cap`. Basing horizons on the bounds alone (the
+  // each clamped by `cap`. Basing horizons on the fronts alone (the
   // obvious formula) is unsound: lane A at t sends to lane B (arrive
-  // t + L, below B's bound), B reacts and sends back at t + 2L — below
-  // where A was allowed to run.
+  // t + L, below B's front), B reacts and sends back at t + 2L — below
+  // where A was allowed to run. An armed lane with an empty queue
+  // bounds nothing until a delivery arrives, which the h1 relay
+  // already covers.
   Time h1 = kInfTime;
   Time h2 = kInfTime;
   uint32_t arg1 = kNoAffinity;
@@ -401,7 +390,7 @@ uint32_t Simulator::solve_horizons(LaneBound bound, Time cap,
   for (uint32_t m = 0; m < nodes_; ++m) {
     if (armed_cross_[m].load(std::memory_order_relaxed) == 0) continue;
     ++armed_lanes;
-    const Time h = bound(m);
+    const Time h = node_q_[m].empty() ? kInfTime : node_q_[m].top().time;
     if (h < h1) {
       h2 = h1;
       h1 = h;
@@ -416,180 +405,13 @@ uint32_t Simulator::solve_horizons(LaneBound bound, Time cap,
     b_min = std::min(b_min, std::min(sat_add(h2, lookahead_),
                                      sat_add(h1, 2 * lookahead_)));
   }
-  std::fill(ends, ends + nodes_, b_other);
-  if (arg1 != kNoAffinity) ends[arg1] = b_min;
-  return armed_lanes;
-}
-
-void Simulator::compute_window_ends(Time node_min) {
-  ++windows_;
-  // Feedback cap: a merge completion minted during this window completes
-  // at >= node_min and reaches node state no earlier than the registered
-  // floor after that (clamped to the lookahead so a degenerate
-  // single-participant tree keeps the one-lookahead envelope).
-  const Time global_cap =
-      global_q_.empty() ? kInfTime : global_q_.top().time;
-  const Time cap = std::min(
-      global_cap, global_floor_ == 0
-                      ? kInfTime
-                      : sat_add(node_min, std::max(global_floor_,
-                                                   lookahead_)));
-  // Every armed lane's queue front bounds what it can still execute
-  // (an empty queue bounds nothing until a delivery arrives, which the
-  // fixed point already covers through the h1 relay).
-  solve_horizons(
-      [this](uint32_t m) {
-        return node_q_[m].empty() ? kInfTime : node_q_[m].top().time;
-      },
-      cap, win_end_lane_.data());
+  std::fill(win_end_lane_.begin(), win_end_lane_.end(), b_other);
+  if (arg1 != kNoAffinity) win_end_lane_[arg1] = b_min;
   // Every component strictly exceeds node_min: fronts of armed lanes are
   // >= node_min, the serial phase drained every global entry at or below
   // node_min (so global_cap > node_min), and the lookahead is positive.
   // Every lane therefore makes progress.
   for (uint32_t n = 0; n < nodes_; ++n) CR_CHECK(win_end_lane_[n] > node_min);
-}
-
-void Simulator::plan_elisions() {
-  elide_count_ = 0;
-  if (!elide_) return;
-  // An outstanding remote merge could mint a global-lane entry at an
-  // unknown time mid-region; every boundary until it schedules must
-  // run the full serial protocol.
-  if (pending_merges_.load(std::memory_order_relaxed) != 0) return;
-  // With no outstanding merges, workers cannot mint global entries
-  // (worker scheduling always targets node lanes), so the global queue
-  // is frozen for the whole region and its front is an exact cap: the
-  // boundary *at* the cap must be a full one (serial phase due), and
-  // every boundary strictly below it has no serial work by
-  // construction — that is the elision condition.
-  const Time global_cap =
-      global_q_.empty() ? kInfTime : global_q_.top().time;
-  if (elide_ends_.size() < kMaxElidedPerWindow) {
-    elide_ends_.resize(kMaxElidedPerWindow);
-  }
-  // Iterate the window-horizon solve forward without executing: the
-  // previous sub-window's ends are conservative lower bounds on every
-  // entry an armed lane can still execute or receive (its queue was
-  // drained below its end, and any in-flight delivery was CHECKed at
-  // or beyond it), so they play the role the boundary fronts played in
-  // compute_window_ends. Empty-vs-nonempty queues are unknowable this
-  // far ahead, so every armed lane's bound participates — strictly
-  // more conservative than the boundary solve, never less safe.
-  const std::vector<Time>* lb = &win_end_lane_;
-  while (elide_count_ < kMaxElidedPerWindow) {
-    std::vector<Time>& ends = elide_ends_[elide_count_];
-    ends.resize(nodes_);
-    if (solve_horizons([lb](uint32_t m) { return (*lb)[m]; }, global_cap,
-                       ends.data()) == 0) {
-      // No lane can influence another: compute_window_ends already ran
-      // every lane to the global cap (or to infinity), and the next
-      // boundary either has serial work or ends the run. (Armed counts
-      // are frozen while planning, so this can only trigger on the
-      // first pass.)
-      return;
-    }
-    // Stop once the schedule stops advancing (all lanes pinned at the
-    // global cap — the next boundary needs its serial phase) or has
-    // run to infinity (one more sub-window drains everything).
-    bool progress = false;
-    bool all_inf = true;
-    for (uint32_t n = 0; n < nodes_; ++n) {
-      progress |= ends[n] > (*lb)[n];
-      all_inf &= ends[n] == kInfTime;
-    }
-    if (!progress) break;
-    ++elide_count_;
-    if (all_inf) break;
-    lb = &elide_ends_[elide_count_ - 1];
-  }
-  if (elide_count_ > 0) {
-    // Worker-side mailbox drains inside the region bypass the front
-    // heap; rebuild it before the next plan.
-    fronts_dirty_ = true;
-  }
-}
-
-void Simulator::rebuild_fronts() {
-  front_heap_.clear();
-  for (uint32_t n = 0; n < nodes_; ++n) {
-    if (node_q_[n].empty()) {
-      front_hint_[n] = kInfTime;
-    } else {
-      front_hint_[n] = node_q_[n].top().time;
-      front_heap_.emplace_back(front_hint_[n], n);
-    }
-  }
-  std::make_heap(front_heap_.begin(), front_heap_.end(), FrontLater{});
-  fronts_dirty_ = false;
-}
-
-void Simulator::drain_block_inboxes(uint32_t worker) {
-  // A worker folding flushed deliveries into its own block between
-  // sub-windows. Unlike drain_inboxes this never touches the front
-  // heap (coordinator-owned) or the global mailbox (serial-phase
-  // input, frozen while elision is legal).
-  for (uint32_t n = lane_lo_[worker]; n < lane_hi_[worker]; ++n) {
-    Mailbox& box = inbox_[n];
-    if (!box.nonempty.load(std::memory_order_acquire)) continue;
-    std::lock_guard<std::mutex> lock(box.mu);
-    for (Entry& e : box.items) {
-      node_q_[n].push(std::move(e));
-    }
-    box.items.clear();
-    box.nonempty.store(false, std::memory_order_relaxed);
-  }
-}
-
-void Simulator::elide_rendezvous(uint32_t sub) {
-  // Every participant has finished sub-window `sub` and flushed its
-  // outbox. The last arriver installs the pre-planned horizons for the
-  // next sub-window and releases everyone; the acq_rel arrival RMW plus
-  // the release store on the phase word publish both the flushed
-  // mailboxes and the new horizons to every worker that leaves.
-  const uint64_t cur = elide_phase_.load(std::memory_order_acquire);
-  if (elide_arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-      num_workers_) {
-    const std::vector<Time>& ends = elide_ends_[sub];
-    std::copy(ends.begin(), ends.end(), win_end_lane_.begin());
-    if (wd_enabled_.load(std::memory_order_relaxed)) {
-      // The boundary heartbeat for elided boundaries, plus fresh window
-      // ends for the flight recorder (fronts stay at the last full
-      // boundary's snapshot: other workers own those queues).
-      for (uint32_t n = 0; n < nodes_; ++n) {
-        wd_lane_winend_[n].store(ends[n], std::memory_order_relaxed);
-      }
-      wd_heartbeat_.fetch_add(1, std::memory_order_relaxed);
-    }
-    elide_arrived_.store(0, std::memory_order_relaxed);
-    elide_phase_.store(cur + 1, std::memory_order_release);
-    elide_phase_.notify_all();
-    return;
-  }
-  for (uint32_t i = 0; i < WindowBarrier::kSpinBudget; ++i) {
-    if (elide_phase_.load(std::memory_order_acquire) != cur) return;
-  }
-  while (elide_phase_.load(std::memory_order_acquire) == cur) {
-    elide_phase_.wait(cur, std::memory_order_acquire);
-  }
-}
-
-void Simulator::run_region(uint32_t worker, uint64_t* processed,
-                           Time* max_time) {
-  // One fused region: the full window just planned plus elide_count_
-  // follow-on windows whose boundaries collapsed to a rendezvous. The
-  // region runs under a single release/arrive cycle of the main
-  // barrier; windows_ - 1 names the whole region in profiles and the
-  // test hook.
-  const uint64_t win = windows_ - 1;
-  for (uint32_t sub = 0;; ++sub) {
-    process_nodes(worker, processed, max_time);
-    if (sub == elide_count_) return;
-    elide_rendezvous(sub);
-    drain_block_inboxes(worker);
-    if (host_prof_ != nullptr) {
-      prof_mark(worker, win, support::HostPhase::kElided);
-    }
-  }
 }
 
 void Simulator::execute(const Entry& e, uint32_t affinity,
@@ -683,8 +505,8 @@ void Simulator::worker_main(uint32_t worker) {
     if (host_prof_ != nullptr) {
       prof_mark(worker, win, support::HostPhase::kBarrierWait);
     }
-    run_region(worker, &worker_processed_[worker],
-               &worker_max_time_[worker]);
+    process_nodes(worker, &worker_processed_[worker],
+                  &worker_max_time_[worker]);
     barrier_.arrive(worker - 1, seen);
     if (host_prof_ != nullptr) {
       prof_mark(worker, win, support::HostPhase::kBarrierWake);
@@ -774,10 +596,7 @@ Time Simulator::run_windowed(uint32_t workers) {
     // windows_ counts completed compute_window_ends calls, so at the top
     // of an iteration it is the index of the window being planned.
     const uint64_t win = windows_;
-    drain_inboxes();
-    // After a fused region the worker-side rendezvous drains have
-    // bypassed note_lane_front; rebuild the heap before trusting it.
-    if (fronts_dirty_) rebuild_fronts();
+    drain_inboxes(0, nodes_ + 1);
     // Serial phase: global entries (barrier fan-ins and releases, merge
     // completions) run strictly before any node entry at or after their
     // time. Their callbacks may push node entries directly — workers
@@ -818,12 +637,8 @@ Time Simulator::run_windowed(uint32_t workers) {
       break;
     }
     // Publish this window's per-lane boundaries (see
-    // compute_window_ends) before releasing the workers, then pre-plan
-    // the horizons of every boundary this region can elide — all while
-    // workers are still parked, so the whole schedule is deterministic.
+    // compute_window_ends) before releasing the workers.
     compute_window_ends(node_min);
-    plan_elisions();
-    elided_boundaries_ += elide_count_;
 
     // Queue-depth gauge: entries pushed minus executed, sampled at the
     // boundary where the value is deterministic (same instant the old
@@ -854,33 +669,23 @@ Time Simulator::run_windowed(uint32_t workers) {
       if (host_prof_ != nullptr) {
         prof_mark(0, win, support::HostPhase::kBarrierWake);
       }
-      run_region(0, &worker_processed_[0], &worker_max_time_[0]);
+      process_nodes(0, &worker_processed_[0], &worker_max_time_[0]);
       // Double-buffered boundary work: while the stragglers finish
       // their shares, pre-stage the coordinator's own block of mailbox
       // merges for the next boundary. Whatever lands after this peek
       // is caught by the drain at the loop top; entries folded in now
       // come off the next serial segment. The coordinator owns the
       // front heap, so recording fronts here is race-free.
-      for (uint32_t n = lane_lo_[0]; n < lane_hi_[0]; ++n) {
-        Mailbox& box = inbox_[n];
-        if (!box.nonempty.load(std::memory_order_acquire)) continue;
-        std::lock_guard<std::mutex> lock(box.mu);
-        for (Entry& e : box.items) {
-          note_lane_front(n, e.time);
-          node_q_[n].push(std::move(e));
-        }
-        box.items.clear();
-        box.nonempty.store(false, std::memory_order_relaxed);
-      }
+      drain_inboxes(lane_lo_[0], lane_hi_[0]);
       if (host_prof_ != nullptr) {
-        prof_mark(0, win, support::HostPhase::kElided);
+        prof_mark(0, win, support::HostPhase::kOutboxFlush);
       }
       barrier_.wait_arrivals(epoch_seq_);
       if (host_prof_ != nullptr) {
         prof_mark(0, win, support::HostPhase::kBarrierWait);
       }
     } else {
-      run_region(0, &worker_processed_[0], &worker_max_time_[0]);
+      process_nodes(0, &worker_processed_[0], &worker_max_time_[0]);
     }
   }
 

@@ -45,8 +45,7 @@
 //    (registered by barriers/collectives at wiring). Lanes whose armed
 //    peers are far in the future — and every lane once the armed sends
 //    drain — run deep into their own queues instead of stopping at
-//    node_min + lookahead. Boundary elision reuses the same solve on
-//    the previous sub-window's ends (see set_elide_boundaries).
+//    node_min + lookahead.
 //
 //    Safety is CHECK-enforced twice: a worker's cross-lane push must land
 //    at or after the destination lane's current window end, and every
@@ -151,11 +150,7 @@ class Simulator {
   void schedule_at_affine(Time t, uint32_t node, Callback<void()> fn);
   // Schedule a merge completion at t, keyed (t, kMergeCreator,
   // merge_uid): any worker may request it, the key never depends on
-  // which one did. Runs in the serial phase (global affinity). Every
-  // call must be preceded by note_merge_armed() at wiring time
-  // (CHECK-enforced): the armed count is what stops the boundary
-  // planner from eliding serial phases while a completion could still
-  // appear from a worker at an unknown time.
+  // which one did. Runs in the serial phase (global affinity).
   void schedule_merge_completion(Time t, uint64_t merge_uid,
                                  Callback<void()> fn);
 
@@ -171,18 +166,6 @@ class Simulator {
   // Drain the partitioned queues with `workers` host threads (>= 1).
   // Bit-identical results for any worker count. Returns the final time.
   Time run_windowed(uint32_t workers);
-
-  // Boundary elision (backend v3): when the serial boundary between two
-  // adjacent windows provably has nothing to do — no global-lane entry
-  // below the fused horizon and no armed merge completion that could
-  // mint one — the coordinator pre-plans a run of windows at once and
-  // workers roll between them through a cheap symmetric rendezvous
-  // instead of a full park / serial drain / release cycle. Same
-  // per-lane execution order, bit for bit; only the host-side boundary
-  // protocol (and the window-shape gauges) changes. Call before
-  // run_windowed(). Default on.
-  void set_elide_boundaries(bool on) { elide_ = on; }
-  bool elide_boundaries() const { return elide_; }
 
   // Pin plan for the windowed run's host threads: worker w pins to
   // cpus[w % cpus.size()] (worker 0 is the coordinator thread, whose
@@ -207,13 +190,6 @@ class Simulator {
   // completion is scheduled in windowed mode); the minimum across
   // registrations caps how far any lane may run past the window start.
   void note_global_influence_floor(Time delay);
-  // A remote merge has been wired (Event::merge_remote) whose deferred
-  // completion has not yet been scheduled. While any such merge is
-  // outstanding a worker may mint a *new* global-lane entry at an
-  // unknown time mid-window, so boundary elision is disabled; once the
-  // completion is scheduled it is an ordinary global entry covered by
-  // the next-global-entry clamp and the count drops.
-  void note_merge_armed();
 
   // Record every executed entry per affinity lane (nodes_ + 1 lanes,
   // last = global). Windowed mode only; pass nullptr to disable.
@@ -276,15 +252,9 @@ class Simulator {
   uint64_t max_queue_depth() const { return max_queue_depth_; }
 
   // Conservative windows executed by run_windowed (0 for sequential
-  // runs): the cheap proxy for barrier overhead. With boundary elision
-  // a fused run of k+1 windows counts as one full window plus k elided
-  // boundaries.
+  // runs): the cheap proxy for barrier overhead. Every window ends in a
+  // full boundary: mailbox drain, serial phase, horizon solve.
   uint64_t windows() const { return windows_; }
-
-  // Window boundaries replaced by the in-region rendezvous (0 when
-  // elision is off). Deterministic for a given program and elision
-  // setting, independent of worker count.
-  uint64_t elided_boundaries() const { return elided_boundaries_; }
 
  private:
   // A queue entry is its ordering key plus an owning handle to the
@@ -336,7 +306,10 @@ class Simulator {
                Time* max_time);
   void process_nodes(uint32_t worker, uint64_t* processed, Time* max_time);
   void flush_outbox(uint32_t worker);
-  void drain_inboxes();
+  // Fold mailboxes [lo, hi) into their queues (index nodes_ is the
+  // global lane's), keeping the lane-front heap current. Coordinator
+  // only.
+  void drain_inboxes(uint32_t lo, uint32_t hi);
   // Record that lane n gained an entry at time t (serial contexts only):
   // keeps the lane-front heap's lower-bound invariant.
   void note_lane_front(uint32_t n, Time t);
@@ -344,34 +317,11 @@ class Simulator {
   // lazy min-heap over lane fronts (amortized O(log nodes) per window
   // instead of an O(nodes) rescan per serial-phase iteration).
   Time node_min_time();
-  // The per-lane horizon fixed point (see the file comment): given
-  // bound(m), a lower bound on every entry armed lane m can still
-  // execute or receive (kInfTime when none), write each lane's window
-  // end, clamped to `cap`, into ends[0, nodes_). Returns the number of
-  // armed lanes. Serial contexts only (workers parked).
-  template <typename LaneBound>
-  uint32_t solve_horizons(LaneBound bound, Time cap, Time* ends) const;
-  // Fill win_end_lane_ for the window starting at node_min (the solve
-  // over queue fronts), and bump the window counter.
+  // The per-lane horizon fixed point (see the file comment) over the
+  // armed lanes' queue fronts: fill win_end_lane_ for the window
+  // starting at node_min, and bump the window counter. Serial contexts
+  // only (workers parked).
   void compute_window_ends(Time node_min);
-  // Boundary elision: starting from the window just planned into
-  // win_end_lane_, pre-compute horizons for a run of follow-on windows
-  // whose boundaries provably need no serial phase. Fills elide_ends_
-  // and elide_count_ (0 = nothing elided).
-  void plan_elisions();
-  // One fused region for `worker`: its share of the planned window,
-  // then elide_count_ more sub-windows separated by the symmetric
-  // rendezvous (horizon handoff + own-block mailbox drain).
-  void run_region(uint32_t worker, uint64_t* processed, Time* max_time);
-  // Symmetric all-worker rendezvous at an elided boundary; the last
-  // arriver installs sub-window `sub`'s horizons into win_end_lane_.
-  void elide_rendezvous(uint32_t sub);
-  // Drain the mailboxes of `worker`'s own lane block into its queues
-  // (front heap untouched — the caller marks fronts dirty).
-  void drain_block_inboxes(uint32_t worker);
-  // Rebuild the lane-front heap from scratch after a fused region (the
-  // worker-side mailbox drains bypass note_lane_front).
-  void rebuild_fronts();
   void worker_main(uint32_t worker);
   // Close the current host-phase segment for `worker` (one clock read;
   // the segment began where the previous mark ended).
@@ -408,31 +358,7 @@ class Simulator {
   // backwards (CHECK-enforced in execute()).
   std::vector<Time> lane_last_exec_;
   uint64_t windows_ = 0;
-  uint64_t elided_boundaries_ = 0;
   std::vector<std::vector<ExecRecord>>* exec_log_ = nullptr;
-
-  // --- boundary elision (backend v3) -----------------------------------
-  bool elide_ = true;
-  // Horizons for the current fused region's elided sub-windows:
-  // elide_ends_[s] are the per-lane boundaries installed at rendezvous
-  // s (the region runs elide_count_ + 1 sub-windows). Planned by the
-  // coordinator while workers are parked; read by the rendezvous's
-  // last arriver.
-  std::vector<std::vector<Time>> elide_ends_;
-  uint32_t elide_count_ = 0;
-  // Remote merges wired but with no scheduled completion yet: while
-  // nonzero a worker may mint a global entry at an unknown time, so
-  // planning refuses to elide. Armed from global contexts; the
-  // decrement (completion scheduled) may come from any worker, and the
-  // coordinator only reads it at full boundaries with workers parked.
-  std::atomic<uint64_t> pending_merges_{0};
-  // Symmetric rendezvous state for elided boundaries: a counter plus a
-  // monotonically increasing phase word (one bump per rendezvous).
-  std::atomic<uint32_t> elide_arrived_{0};
-  alignas(64) std::atomic<uint64_t> elide_phase_{0};
-  // Set when worker-side mailbox drains bypassed note_lane_front; the
-  // next full boundary rebuilds the front heap before planning.
-  bool fronts_dirty_ = false;
 
   // Window-horizon inputs. Armed counts are bumped at wiring and
   // decremented from whichever worker runs the injection; they only

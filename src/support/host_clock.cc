@@ -23,7 +23,6 @@ const char* host_phase_name(HostPhase p) {
     case HostPhase::kOutboxFlush: return "outbox_flush";
     case HostPhase::kBarrierWait: return "barrier_wait";
     case HostPhase::kBarrierWake: return "barrier_wake";
-    case HostPhase::kElided: return "elided";
   }
   return "?";
 }
@@ -83,9 +82,9 @@ HostProfile HostProfiler::profile() const {
   // Per-window rows from the coordinator timeline. Coordinator spans
   // arrive in time order and each window's group is contiguous:
   // plan [serial_drain] plan [wake] lane_drain outbox_flush
-  // [elided lane_drain outbox_flush ...] [wait] — a fused window (with
-  // elided boundaries) keeps one row covering all its sub-windows.
-  // The final drain iteration (queues empty, no window started) records
+  // [outbox_flush] [wait], where the second outbox_flush is the
+  // coordinator's mailbox pre-drain for the next boundary. The final
+  // drain iteration (queues empty, no window started) records
   // plan spans under one-past-the-last window index and produces no
   // row: it has no lane_drain.
   if (!lanes_.empty()) {
@@ -98,10 +97,9 @@ HostProfile HostProfiler::profile() const {
       r.start_ns = std::min(r.start_ns, s.t0);
       r.end_ns = std::max(r.end_ns, s.t1);
       if (s.phase == HostPhase::kLaneDrain) {
-        // Parallel segment start: the coordinator enters its first lane
-        // block of the window immediately after the release. Later
-        // sub-window lane drains must not move it.
-        parallel_start.try_emplace(s.window, s.t0);
+        // Parallel segment start: the coordinator enters its lane block
+        // immediately after the release.
+        parallel_start[s.window] = s.t0;
       }
     }
     for (auto& [win, r] : rows) {

@@ -7,8 +7,7 @@
 // its phases with a monotonic clock and records one HostSpan per phase
 // per worker per window into a HostProfiler; the aggregated HostProfile
 // is the input to tools/window_report, the bench --host-trace Chrome
-// export, and the serial-fraction gate the backend-v3 work is measured
-// against.
+// export, and the serial-fraction gate.
 //
 // Phase taxonomy (one timeline segment per worker per window; spans on
 // a worker's timeline are contiguous by construction — each phase ends
@@ -26,10 +25,6 @@
 //                 coordinator in wait_arrivals
 //   barrier_wake  signaling: the coordinator's release, a worker's
 //                 arrival propagation
-//   elided        an elided window boundary: the symmetric rendezvous
-//                 between fused sub-windows (wait + horizon handoff +
-//                 the worker's own-block mailbox drain) that replaces
-//                 a full park/serial-drain/release cycle
 //
 // Everything here is host-side observation only: recording reads the
 // host clock but never virtual time, and nothing in the simulator's
@@ -59,9 +54,8 @@ enum class HostPhase : uint8_t {
   kOutboxFlush = 3,
   kBarrierWait = 4,
   kBarrierWake = 5,
-  kElided = 6,
 };
-inline constexpr size_t kNumHostPhases = 7;
+inline constexpr size_t kNumHostPhases = 6;
 const char* host_phase_name(HostPhase p);
 
 struct HostSpan {

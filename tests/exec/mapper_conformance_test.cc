@@ -19,23 +19,14 @@
 #include "sim/simulator.h"
 #include "support/rng.h"
 #include "testing/random_program.h"
+#include "testing/window_shape.h"
 
 namespace cr::exec {
 namespace {
 
 using testing::RandomProgram;
 using testing::make_random_program;
-
-// Window-shaped gauges exist only on the windowed backend; strip them
-// when comparing the sequential loop against worker runs (the same
-// convention as the equivalence tests).
-std::map<std::string, double> without_window_shape(
-    std::map<std::string, double> m) {
-  m.erase("sim.queue.max_depth");
-  m.erase("sim.windows");
-  m.erase("sim.windows_elided");
-  return m;
-}
+using testing::without_window_shape;
 
 sim::MachineConfig hetero_machine() {
   sim::MachineConfig mc;

@@ -64,7 +64,7 @@ ir::Program build_app(rt::Runtime& rt, const std::string& app,
 
 ExecutionResult run_app(const std::string& app, uint32_t workers,
                         bool replay = false, bool host_profile = false,
-                        bool watchdog = false, bool elide = true) {
+                        bool watchdog = false) {
   CostModel cost;
   cost.track_dependences = false;
   const uint32_t nodes = 4;
@@ -77,7 +77,6 @@ ExecutionResult run_app(const std::string& app, uint32_t workers,
   cfg.workers = workers;
   cfg.check = true;
   cfg.trace_replay = replay;
-  cfg.elide_boundaries = elide;
   cfg.host_profile = host_profile;
   // A budget far above any test run's wall time: the watchdog thread
   // runs but must never fire (and must never perturb the timeline).
@@ -133,65 +132,6 @@ void expect_bit_identical(const std::string& app) {
     EXPECT_EQ(res.check->stats.pairs_checked,
               ref.check->stats.pairs_checked)
         << where;
-  }
-}
-
-// Boundary elision (backend v3) must be invisible in virtual time: for
-// every app, every worker count in {0, 1, 4, hw} must produce the same
-// makespan, metrics (modulo the window-shape gauges, which elision
-// changes by design) and checker verdict with elision on and off.
-// Within one elision setting the windowed runs (w >= 1) must match the
-// setting's own single-worker run bit for bit, window shape included;
-// at w == 0 the flag must be perfectly inert (the sequential path never
-// windows), so the full snapshots must be equal.
-TEST(ParallelEquivalence, BoundaryElisionIsTimelineNeutral) {
-  for (const std::string app : {"stencil", "circuit", "pennant",
-                                "miniaero"}) {
-    const ExecutionResult ref = run_app(app, 1);  // elision on (default)
-    const ExecutionResult ref_off =
-        run_app(app, 1, /*replay=*/false, /*host_profile=*/false,
-                /*watchdog=*/false, /*elide=*/false);
-    ASSERT_GT(ref.makespan_ns, 0u) << app;
-    EXPECT_EQ(ref_off.makespan_ns, ref.makespan_ns) << app << " cross-elide";
-    EXPECT_EQ(without_window_shape(ref_off.metrics),
-              without_window_shape(ref.metrics))
-        << app << " cross-elide";
-    // Elision never runs *more* full windows than the full-boundary
-    // protocol, and the full-boundary protocol never elides anything.
-    EXPECT_LE(ref.metrics.at("sim.windows"),
-              ref_off.metrics.at("sim.windows"))
-        << app;
-    EXPECT_EQ(ref_off.metrics.at("sim.windows_elided"), 0.0) << app;
-
-    std::vector<uint32_t> counts = {0, 4};
-    const uint32_t hw = std::thread::hardware_concurrency();
-    if (hw > 1 && hw != 4) counts.push_back(hw);
-    for (const uint32_t w : counts) {
-      for (const bool elide : {true, false}) {
-        const ExecutionResult res =
-            run_app(app, w, /*replay=*/false, /*host_profile=*/false,
-                    /*watchdog=*/false, elide);
-        const std::string where = app + (elide ? " elide" : " no-elide") +
-                                  " workers=" + std::to_string(w);
-        if (w == 0) {
-          // Sequential path: the flag touches nothing at all.
-          EXPECT_EQ(res.makespan_ns, ref.makespan_ns) << where;
-          continue;
-        }
-        const ExecutionResult& base = elide ? ref : ref_off;
-        EXPECT_EQ(res.makespan_ns, base.makespan_ns) << where;
-        EXPECT_EQ(res.point_tasks, base.point_tasks) << where;
-        EXPECT_EQ(res.bytes_moved, base.bytes_moved) << where;
-        EXPECT_EQ(res.messages, base.messages) << where;
-        EXPECT_EQ(res.metrics, base.metrics) << where;
-        ASSERT_NE(res.check, nullptr) << where;
-        EXPECT_EQ(res.check->ok(), base.check->ok()) << where;
-        EXPECT_EQ(res.check->races.size(), base.check->races.size())
-            << where;
-        EXPECT_EQ(res.check->stats.accesses, base.check->stats.accesses)
-            << where;
-      }
-    }
   }
 }
 
@@ -271,47 +211,35 @@ TEST(ParallelEquivalence, HostProfilerAndWatchdogAreObserverNeutral) {
 }
 
 
-// Window shape at one worker: sim.windows and sim.windows_elided for
-// each app on 16 nodes, elision on and off. The shape is a pure function
-// of the per-lane horizon solve (Simulator::solve_horizons) and the
-// elision planner, not of the worker count, and it is invisible to every
-// timeline comparison above, so it is pinned here: a change to the solve
-// that keeps the timeline but moves a window end fails this test (the
-// sim-level WindowHorizon tests pin the individual terms).
+// Window shape at one worker: sim.windows for each app on 16 nodes.
+// The shape is a pure function of the per-lane horizon solve
+// (Simulator::compute_window_ends), not of the worker count, and it is
+// invisible to every timeline comparison above, so it is pinned here: a
+// change to the solve that keeps the timeline but moves a window end
+// fails this test (the sim-level WindowHorizon tests pin the individual
+// terms).
 TEST(ParallelEquivalence, WindowShapeIsPinned) {
   struct Shape {
     const char* app;
-    double windows_elide;
-    double elided;
-    double windows_no_elide;
+    double windows;
   };
   const Shape pinned[] = {
-      {"stencil", 16, 1024, 658},
-      {"circuit", 17, 1088, 712},
-      {"pennant", 515, 197, 603},
-      {"miniaero", 20, 1280, 740},
+      {"stencil", 658},
+      {"circuit", 712},
+      {"pennant", 603},
+      {"miniaero", 740},
   };
   for (const Shape& want : pinned) {
-    for (const bool elide : {true, false}) {
-      CostModel cost;
-      cost.track_dependences = false;
-      const uint32_t nodes = 16;
-      rt::Runtime rt(runtime_config(nodes, 4, cost, /*real_data=*/false));
-      ir::Program program = build_app(rt, want.app, nodes);
-      for (auto& t : program.tasks) t.kernel = nullptr;
-      PreparedRun run = prepare(
-          rt, std::move(program),
-          {.cost = cost, .workers = 1, .elide_boundaries = elide});
-      const ExecutionResult res = run.run();
-      const std::string where =
-          std::string(want.app) + (elide ? " elide" : " no-elide");
-      EXPECT_EQ(res.metrics.at("sim.windows"),
-                elide ? want.windows_elide : want.windows_no_elide)
-          << where;
-      EXPECT_EQ(res.metrics.at("sim.windows_elided"),
-                elide ? want.elided : 0.0)
-          << where;
-    }
+    CostModel cost;
+    cost.track_dependences = false;
+    const uint32_t nodes = 16;
+    rt::Runtime rt(runtime_config(nodes, 4, cost, /*real_data=*/false));
+    ir::Program program = build_app(rt, want.app, nodes);
+    for (auto& t : program.tasks) t.kernel = nullptr;
+    PreparedRun run =
+        prepare(rt, std::move(program), {.cost = cost, .workers = 1});
+    const ExecutionResult res = run.run();
+    EXPECT_EQ(res.metrics.at("sim.windows"), want.windows) << want.app;
   }
 }
 

@@ -27,8 +27,7 @@ struct WitnessedRun {
   ExecutionResult result;
 };
 
-WitnessedRun run_witnessed(uint64_t seed, uint32_t workers,
-                           bool elide = true) {
+WitnessedRun run_witnessed(uint64_t seed, uint32_t workers) {
   support::Rng rng(seed * 9176 + 3);
   const uint32_t nodes = 2 + static_cast<uint32_t>(rng.next_below(3));
   const uint64_t colors = nodes + rng.next_below(nodes + 1);
@@ -44,7 +43,6 @@ WitnessedRun run_witnessed(uint64_t seed, uint32_t workers,
   cfg.cost = cost;
   cfg.mode = ExecMode::kSpmd;
   cfg.workers = workers;
-  cfg.elide_boundaries = elide;
   PreparedRun run = prepare(rt, rp.program, cfg);
   WitnessedRun out;
   rt.sim().set_exec_log(&out.log);
@@ -79,73 +77,28 @@ TEST_P(ParallelProperty, WorkerCountsReplayIdenticalEventOrders) {
 }
 
 // The per-lane horizons are a synchronization schedule, not a semantic
-// input: every windowed run, at every worker count and with boundary
-// elision on or off, must reproduce the sequential reference loop's
-// timeline — makespan and metrics, minus the window-shape gauges. A
-// violation of the horizon's conservative-safety invariant (a cross-node
-// message landing inside a lane's already-executed past, or a lane
-// clock moving backwards) aborts via CR_CHECK, so these seeds double as
-// a randomized soundness probe for the fixed point in
-// Simulator::solve_horizons: the random programs exercise cross-node
-// send/react feedback chains, scalar reductions through collectives,
-// and region reductions the four paper apps don't.
+// input: every windowed run, at every worker count, must reproduce the
+// sequential reference loop's timeline — makespan and metrics, minus
+// the window-shape gauges. A violation of the horizon's
+// conservative-safety invariant (a cross-node message landing inside a
+// lane's already-executed past, or a lane clock moving backwards) aborts
+// via CR_CHECK, so these seeds double as a randomized soundness probe
+// for the fixed point in Simulator::compute_window_ends: the random
+// programs exercise cross-node send/react feedback chains, scalar
+// reductions through collectives, and region reductions the four paper
+// apps don't.
 TEST_P(ParallelProperty, AdaptiveWindowsReplayReferenceOrders) {
   const uint64_t seed = GetParam();
   const WitnessedRun ref = run_witnessed(seed, 0);
   ASSERT_GT(ref.result.makespan_ns, 0u) << "seed " << seed;
   for (const uint32_t workers : {1u, 2u, 4u}) {
-    for (const bool elide : {true, false}) {
-      const WitnessedRun res = run_witnessed(seed, workers, elide);
-      const std::string where = "seed " + std::to_string(seed) +
-                                " workers=" + std::to_string(workers) +
-                                (elide ? " elide" : " no-elide");
-      EXPECT_EQ(res.result.makespan_ns, ref.result.makespan_ns) << where;
-      EXPECT_EQ(without_window_shape(res.result.metrics),
-                without_window_shape(ref.result.metrics))
-          << where;
-    }
-  }
-}
-
-// Boundary elision on the random-program soup: whatever boundaries the
-// planner decides to fuse, the per-lane (time, creator, cseq) replay
-// must be untouched, and the window accounting must stay coherent —
-// elision only ever removes full boundaries (windows_elide <=
-// windows_ref), the no-elide run never reports an elided boundary, and
-// the elision count is identical at every worker count (the plan is a
-// pure function of boundary-time state, so it cannot depend on how many
-// host threads execute it).
-TEST_P(ParallelProperty, ElisionPreservesReplayAndCountsDeterministically) {
-  const uint64_t seed = GetParam();
-  const WitnessedRun ref = run_witnessed(seed, 1, /*elide=*/false);
-  const auto metric = [](const WitnessedRun& r, const char* key) {
-    const auto it = r.result.metrics.find(key);
-    return it != r.result.metrics.end() ? it->second : -1.0;
-  };
-  ASSERT_GE(metric(ref, "sim.windows"), 0.0) << "seed " << seed;
-  EXPECT_EQ(metric(ref, "sim.windows_elided"), 0.0) << "seed " << seed;
-  double elided_at_w1 = -1;
-  for (const uint32_t workers : {1u, 2u, 4u}) {
-    const WitnessedRun res = run_witnessed(seed, workers, /*elide=*/true);
-    ASSERT_EQ(res.log.size(), ref.log.size())
-        << "seed " << seed << " workers=" << workers;
-    for (size_t lane = 0; lane < ref.log.size(); ++lane) {
-      EXPECT_EQ(res.log[lane], ref.log[lane])
-          << "seed " << seed << " workers=" << workers << " lane " << lane;
-    }
-    EXPECT_EQ(res.result.makespan_ns, ref.result.makespan_ns)
-        << "seed " << seed << " workers=" << workers;
-    const double elided = metric(res, "sim.windows_elided");
-    EXPECT_GE(elided, 0.0) << "seed " << seed << " workers=" << workers;
-    EXPECT_LE(metric(res, "sim.windows"), metric(ref, "sim.windows"))
-        << "seed " << seed << " workers=" << workers;
-    if (elided_at_w1 < 0) {
-      elided_at_w1 = elided;
-    } else {
-      EXPECT_EQ(elided, elided_at_w1)
-          << "seed " << seed << " workers=" << workers
-          << ": elision plan depends on the worker count";
-    }
+    const WitnessedRun res = run_witnessed(seed, workers);
+    const std::string where =
+        "seed " + std::to_string(seed) + " workers=" + std::to_string(workers);
+    EXPECT_EQ(res.result.makespan_ns, ref.result.makespan_ns) << where;
+    EXPECT_EQ(without_window_shape(res.result.metrics),
+              without_window_shape(ref.result.metrics))
+        << where;
   }
 }
 

@@ -56,10 +56,8 @@ void unroll_program(Simulator& sim, RunResult& out) {
     sim.schedule_at(t, [&out] { ++out.serial_execs; });
   }
   // A deferred merge completion (kMergeCreator key) — the other serial
-  // producer; the window planner requires a registered influence floor, and
-  // every completion must be armed at wiring time (the elision gate).
+  // producer; the window planner requires a registered influence floor.
   sim.note_global_influence_floor(kLookahead);
-  sim.note_merge_armed();
   sim.schedule_merge_completion(250, /*merge_uid=*/7,
                                 [&out] { ++out.serial_execs; });
 }

@@ -62,9 +62,9 @@ TEST(Simulator, CountsProcessedEvents) {
 }
 
 
-// Direct checks of the per-lane horizon solve (Simulator::solve_horizons)
-// on hand-built windowed programs: one worker and boundary elision off,
-// so every boundary is a full window whose per-lane ends follow the
+// Direct checks of the per-lane horizon solve
+// (Simulator::compute_window_ends) on hand-built windowed programs: one
+// worker, every boundary a full window whose per-lane ends follow the
 // closed form in simulator.h (lookahead L = 100). Each entry records the
 // window it ran in through the test lane hook, which pins every lane's
 // window end between its last executed and its first deferred entry.
@@ -83,7 +83,6 @@ HorizonRun run_horizon_case(const HorizonCase& c) {
   const uint32_t nodes = static_cast<uint32_t>(c.lane_entries.size());
   Simulator sim;
   sim.begin_windowed(nodes, /*lookahead=*/100);
-  sim.set_elide_boundaries(false);
   std::vector<uint64_t> current(nodes, 0);
   sim.set_test_lane_hook([&current, nodes](uint32_t lane, uint64_t window) {
     if (lane < nodes) current[lane] = window;

@@ -178,10 +178,10 @@ TEST(HostClock, HostMetricsViewHasExpectedKeys) {
 }
 
 // A longer synthetic timeline in the simulator's shape: three workers,
-// windows that fuse one to three sub-windows behind elided boundaries,
-// serial drains on some windows, a worker that sits some windows out,
-// and the final drain iteration's row-less plan span.
-HostProfiler make_fused_profiler(uint64_t windows) {
+// serial drains on some windows, the coordinator's mailbox pre-drain
+// (a second outbox_flush) on others, a worker that sits some windows
+// out, and the final drain iteration's row-less plan span.
+HostProfiler make_long_profiler(uint64_t windows) {
   HostProfiler prof;
   constexpr uint32_t kWorkers = 3;
   prof.begin(kWorkers);
@@ -194,7 +194,6 @@ HostProfiler make_fused_profiler(uint64_t windows) {
     prof.record(w, win, p, o + t0, o + now[w]);
   };
   for (uint64_t win = 0; win < windows; ++win) {
-    const uint64_t subs = 1 + rng.next_below(3);
     rec(0, win, HostPhase::kPlan);
     if (win % 3 == 0) rec(0, win, HostPhase::kSerialDrain);
     rec(0, win, HostPhase::kPlan);
@@ -202,11 +201,12 @@ HostProfiler make_fused_profiler(uint64_t windows) {
     for (uint32_t w = 0; w < kWorkers; ++w) {
       if (w > 0) rec(w, win, HostPhase::kBarrierWait);
       const bool idle = w == 2 && win % 5 == 4;  // never drains
-      for (uint64_t k = 0; k < subs; ++k) {
-        if (k > 0) rec(w, win, HostPhase::kElided);
-        if (idle) continue;
+      if (!idle) {
         rec(w, win, HostPhase::kLaneDrain);
         rec(w, win, HostPhase::kOutboxFlush);
+      }
+      if (w == 0 && rng.next_below(2) == 0) {
+        rec(w, win, HostPhase::kOutboxFlush);  // mailbox pre-drain
       }
       rec(w, win, w == 0 ? HostPhase::kBarrierWait : HostPhase::kBarrierWake);
     }
@@ -223,8 +223,8 @@ bool is_busy(HostPhase p) {
   return p == HostPhase::kLaneDrain || p == HostPhase::kOutboxFlush;
 }
 
-TEST(HostClock, FusedTimelineMatchesBruteForceAggregation) {
-  const HostProfile p = make_fused_profiler(300).profile();
+TEST(HostClock, LongTimelineMatchesBruteForceAggregation) {
+  const HostProfile p = make_long_profiler(300).profile();
   const auto& lanes = p.spans;
   ASSERT_EQ(lanes.size(), 3u);
 

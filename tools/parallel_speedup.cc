@@ -15,7 +15,7 @@
 //   parallel_speedup [--app=stencil|circuit|pennant|miniaero]
 //                    [--nodes=<n>] [--steps=<n>]
 //                    [--max-workers=<n>] [--reps=<n>] [--warmup=<n>]
-//                    [--pin] [--no-elide] [--json=<path>]
+//                    [--pin] [--json=<path>]
 //                    [--require-speedup=<x>] [--host-trace=<path>]
 //                    [--host-report=<path>]
 //
@@ -56,7 +56,6 @@ struct ToolOptions {
   uint32_t reps = 3;
   uint32_t warmup = 1;
   bool pin = false;
-  bool no_elide = false;
   std::string json_path;
   std::string host_trace_path;
   std::string host_report_path;
@@ -73,7 +72,6 @@ struct Measured {
   cr::sim::Time makespan_ns = 0;
   uint64_t events = 0;
   uint64_t windows = 0;
-  uint64_t windows_elided = 0;
   // Setup (runtime construction + program build + prepare) and the run
   // itself are timed in separate steady_clock windows: the speedup
   // denominator must only contain work the worker count can affect.
@@ -90,7 +88,6 @@ struct OneRun {
   cr::sim::Time makespan_ns = 0;
   uint64_t events = 0;
   uint64_t windows = 0;
-  uint64_t windows_elided = 0;
   double setup_seconds = 0;
   double run_seconds = 0;
   std::shared_ptr<cr::support::HostProfile> profile;
@@ -143,7 +140,6 @@ OneRun run_once(const ToolOptions& opt, uint32_t workers,
   ecfg.cost = cost;
   ecfg.mode = cr::exec::ExecMode::kSpmd;
   ecfg.workers = workers;
-  ecfg.elide_boundaries = !opt.no_elide;
   ecfg.pin_workers = opt.pin;
   ecfg.host_profile = profile && workers >= 1;
   cr::exec::PreparedRun run = cr::exec::prepare(rt, std::move(program), ecfg);
@@ -159,7 +155,6 @@ OneRun run_once(const ToolOptions& opt, uint32_t workers,
   };
   out.events = metric("sim.events_processed");
   out.windows = metric("sim.windows");
-  out.windows_elided = metric("sim.windows_elided");
   out.setup_seconds =
       std::chrono::duration<double>(run_begin - setup_begin).count();
   out.run_seconds = std::chrono::duration<double>(run_end - run_begin).count();
@@ -184,7 +179,6 @@ Measured measure(const ToolOptions& opt, uint32_t workers) {
       out.makespan_ns = r.makespan_ns;
       out.events = r.events;
       out.windows = r.windows;
-      out.windows_elided = r.windows_elided;
     } else if (r.makespan_ns != out.makespan_ns) {
       std::fprintf(stderr,
                    "FAIL: makespan diverged across reps at workers=%u\n",
@@ -219,8 +213,7 @@ int usage(const char* argv0) {
       "usage: %s [--app=stencil|circuit|pennant|miniaero]\n"
       "          [--nodes=<n>] [--steps=<n>]\n"
       "          [--max-workers=<n>] [--reps=<n>] [--warmup=<n>] [--pin]\n"
-      "          [--no-elide] [--json=<path>]\n"
-      "          [--require-speedup=<x>]\n"
+      "          [--json=<path>] [--require-speedup=<x>]\n"
       "          [--host-trace=<path>] [--host-report=<path>]\n",
       argv0);
   return 2;
@@ -237,8 +230,6 @@ void write_json(const ToolOptions& opt, const std::vector<Measured>& runs,
   std::fprintf(f, "  \"steps\": %llu,\n",
                static_cast<unsigned long long>(opt.steps));
   std::fprintf(f, "  \"pin\": %s,\n", opt.pin ? "true" : "false");
-  std::fprintf(f, "  \"elide_boundaries\": %s,\n",
-               opt.no_elide ? "false" : "true");
   std::fprintf(f, "  \"series\": [\n");
   for (size_t i = 0; i < runs.size(); ++i) {
     const Measured& m = runs[i];
@@ -264,8 +255,6 @@ void write_json(const ToolOptions& opt, const std::vector<Measured>& runs,
     std::fprintf(f, "         \"info.events_per_sec\": %.1f,\n", evps);
     std::fprintf(f, "         \"info.windows\": %llu,\n",
                  static_cast<unsigned long long>(m.windows));
-    std::fprintf(f, "         \"info.windows_elided\": %llu,\n",
-                 static_cast<unsigned long long>(m.windows_elided));
     if (m.profile != nullptr) {
       // Why the number moved: the measured serial fraction and where
       // the host cycles went, from the extra profiled run. info.* keys
@@ -317,8 +306,6 @@ int main(int argc, char** argv) {
       opt.warmup = static_cast<uint32_t>(std::atoi(val("--warmup=")));
     } else if (arg == "--pin") {
       opt.pin = true;
-    } else if (arg == "--no-elide") {
-      opt.no_elide = true;
     } else if (arg.rfind("--json=", 0) == 0) {
       opt.json_path = val("--json=");
     } else if (arg.rfind("--host-trace=", 0) == 0) {
@@ -338,14 +325,13 @@ int main(int argc, char** argv) {
     runs.push_back(measure(opt, w));
   }
 
-  std::printf("%s, %u nodes, %llu steps%s%s, median of %u\n",
+  std::printf("%s, %u nodes, %llu steps%s, median of %u\n",
               opt.app.c_str(), opt.nodes,
               static_cast<unsigned long long>(opt.steps),
-              opt.no_elide ? ", no-elide" : "", opt.pin ? ", pinned" : "",
-              opt.reps);
-  std::printf("%-10s %16s %10s %8s %12s %12s %10s %12s\n", "backend",
-              "makespan_ns", "windows", "elided", "setup_s", "run_s",
-              "speedup", "events/s");
+              opt.pin ? ", pinned" : "", opt.reps);
+  std::printf("%-10s %16s %10s %12s %12s %10s %12s\n", "backend",
+              "makespan_ns", "windows", "setup_s", "run_s", "speedup",
+              "events/s");
   double windowed1 = 0;
   for (const Measured& m : runs) {
     if (m.workers == 1) windowed1 = m.run_seconds;
@@ -361,11 +347,10 @@ int main(int argc, char** argv) {
         m.workers >= 1 && m.run_seconds > 0 ? windowed1 / m.run_seconds : 0;
     const double evps =
         m.run_seconds > 0 ? static_cast<double>(m.events) / m.run_seconds : 0;
-    std::printf("%-10s %16llu %10llu %8llu %12.3f %12.3f %10.2f %12.0f\n",
+    std::printf("%-10s %16llu %10llu %12.3f %12.3f %10.2f %12.0f\n",
                 name.c_str(),
                 static_cast<unsigned long long>(m.makespan_ns),
                 static_cast<unsigned long long>(m.windows),
-                static_cast<unsigned long long>(m.windows_elided),
                 m.setup_seconds, m.run_seconds, speedup, evps);
     if (m.workers >= 1) {
       if (windowed_makespan == 0) windowed_makespan = m.makespan_ns;

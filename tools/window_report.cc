@@ -1,6 +1,6 @@
 // window_report: turn a HOST_phases JSON artifact (bench --host-trace,
 // parallel_speedup --host-report, or HostProfile::write_json) into the
-// numbers the backend-v3 work is gated against: a host-phase breakdown
+// numbers the windowed backend is gated against: a host-phase breakdown
 // table, per-worker busy/idle fractions, per-window parallel efficiency
 // (busy / workers*span), the measured serial fraction, and the Amdahl
 // ceiling it implies for a range of worker counts.
