@@ -112,13 +112,13 @@ void TraceReplay::record(uint64_t fingerprint, uint64_t op_id,
     if (replay_idx_ < tmpl_.size() && tmpl_[replay_idx_].fp == fingerprint) {
       const Entry& e = tmpl_[replay_idx_];
       ++replay_idx_;
-      prune_scratch_.clear();
-      for (const PruneRef& p : e.prunes) {
-        prune_scratch_.push_back(
-            {p.field, resolve(p.op, op_id), p.region, p.privilege, p.redop});
+      cover_scratch_.clear();
+      for (const CoverRef& c : e.covers) {
+        cover_scratch_.push_back({c.field, resolve(c.op, op_id), c.region,
+                                  c.privilege, c.redop, c.retired});
       }
       const uint64_t scanned =
-          deps_.replay(op_id, req, completion, prune_scratch_, e.found);
+          deps_.replay(op_id, req, completion, cover_scratch_, e.found);
       CR_CHECK_MSG(scanned == e.scanned,
                    "trace replay: pairs_scanned diverged from the captured "
                    "iteration");
@@ -152,10 +152,10 @@ void TraceReplay::record(uint64_t fingerprint, uint64_t op_id,
   e.found = deps_.dependences_found() - found0;
   e.deps.reserve(raw.dep_ops.size());
   for (uint64_t ref : raw.dep_ops) e.deps.push_back(encode(ref, op_id));
-  e.prunes.reserve(raw.prunes.size());
-  for (const auto& p : raw.prunes) {
-    e.prunes.push_back(
-        {p.field, encode(p.op_id, op_id), p.region, p.privilege, p.redop});
+  e.covers.reserve(raw.covers.size());
+  for (const auto& c : raw.covers) {
+    e.covers.push_back({c.field, encode(c.op_id, op_id), c.region,
+                        c.privilege, c.redop, c.retired});
   }
   cur_.push_back(std::move(e));
 }

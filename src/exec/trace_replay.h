@@ -12,21 +12,25 @@
 // each requirement, and once two consecutive iterations produce
 // identical fingerprints AND identical encoded outcomes, installs an
 // immutable TraceTemplate. Subsequent iterations replay the template:
-// preconditions are resolved from op ids, epoch prunes are applied by
-// identity, and the tracker's live state is maintained throughout — so
-// a fingerprint miss at ANY operation invalidates the template and
-// falls back to analysis mid-iteration with no special cases.
+// preconditions are resolved from op ids, epoch-pruning coverage steps
+// (partial covers and retirements) are applied by identity, and the
+// tracker's live state is maintained throughout — so a fingerprint miss
+// at ANY operation invalidates the template and falls back to analysis
+// mid-iteration with no special cases.
 //
 // Why two matching iterations imply steady state: op references are
 // encoded as iteration-relative deltas for ops issued inside the loop
-// and absolute ids for ops from before it. A user pruned externally
-// (absolute reference) cannot be pruned again next iteration — it is
-// already dead — so an absolute prune appearing in both compared
-// iterations is impossible; all prunes in a validated template are
-// internal, the set of live pre-loop users is constant, and the field
-// states are shift-stable from one iteration to the next by induction.
-// The tracker cross-checks pairs_scanned on every replayed record as a
-// loud backstop (CR_CHECK, not an invalidation).
+// and absolute ids for ops from before it. A coverage step is recorded
+// only when a writer overwrites some still-uncovered points of a user,
+// so the same step on an external user (absolute reference) cannot
+// recur next iteration — those points are already overwritten — and an
+// absolute step appearing in both compared iterations is impossible;
+// all steps in a validated template are internal, the live pre-loop
+// users and their uncovered points are constant, and the field states
+// are shift-stable from one iteration to the next by induction. The
+// tracker cross-checks pairs_scanned and every step's retire outcome on
+// each replayed record as a loud backstop (CR_CHECK, not an
+// invalidation).
 //
 // Capture granularity: dependence analysis only. Copy pairs and
 // intersections are already memoized per statement by the engine
@@ -96,20 +100,21 @@ class TraceReplay {
     uint64_t v = 0;
     bool operator==(const OpRef&) const = default;
   };
-  struct PruneRef {
+  struct CoverRef {
     rt::FieldId field = 0;
     OpRef op;
     rt::RegionId region = rt::kNoId;
     rt::Privilege privilege = rt::Privilege::kReadOnly;
     rt::ReduceOp redop = rt::ReduceOp::kSum;
-    bool operator==(const PruneRef&) const = default;
+    bool retired = false;
+    bool operator==(const CoverRef&) const = default;
   };
   struct Entry {
     uint64_t fp = 0;
     uint64_t scanned = 0;  // pairs_scanned delta (cross-checked at replay)
     uint64_t found = 0;    // dependences_found delta
     std::vector<OpRef> deps;  // post-dedup predecessors, in push order
-    std::vector<PruneRef> prunes;
+    std::vector<CoverRef> covers;
     bool operator==(const Entry&) const = default;
   };
 
@@ -147,7 +152,7 @@ class TraceReplay {
   // Every recorded op's completion event, for resolving replayed
   // precondition references (ids are unique per execution).
   std::unordered_map<uint64_t, sim::Event, support::U64Hash> completion_of_;
-  std::vector<rt::DependenceTracker::Capture::Prune> prune_scratch_;
+  std::vector<rt::DependenceTracker::Capture::Cover> cover_scratch_;
 
   uint64_t captures_ = 0;
   uint64_t replays_ = 0;

@@ -24,30 +24,12 @@ std::vector<sim::Event> DependenceTracker::record(uint64_t op_id,
     const uint64_t self_live = st.last_op == op_id ? st.last_op_live : 0;
     pairs_scanned_ += st.alive - self_live;
 
-    // Candidate slots, in insertion order. The geometric candidate set
-    // is a superset of every exactly-overlapping user (bounding extents
-    // are conservative), so the conflicts found — and the epochs pruned
-    // — match the linear scan's exactly.
-    cand_.clear();
-    if (linear_) {
-      for (size_t i = 0; i < st.slots.size(); ++i) {
-        cand_.push_back(static_cast<uint32_t>(i));
-      }
-    } else if (!pts.empty()) {
-      ++index_queries_;
-      hits_.clear();
-      st.tree.query(query, hits_);
-      cand_.assign(hits_.begin(), hits_.end());
-      st.tail_touched +=
-          static_cast<uint64_t>(st.slots.size() - st.indexed_end);
-      for (size_t i = st.indexed_end; i < st.slots.size(); ++i) {
-        const support::Interval& b = st.slots[i].bounds;
-        if (b.lo < query.hi && query.lo < b.hi) {
-          cand_.push_back(static_cast<uint32_t>(i));
-        }
-      }
-      std::sort(cand_.begin(), cand_.end());
-    }
+    // The geometric candidate set is a superset of every exactly-
+    // overlapping user (bounding extents are conservative), so the
+    // conflicts found — and the epochs pruned — match the linear scan's
+    // exactly.
+    if (!linear_ && !pts.empty()) ++index_queries_;
+    collect_candidates(st, query);
 
     for (uint32_t idx : cand_) {
       User& u = st.slots[idx];
@@ -69,19 +51,15 @@ std::vector<sim::Event> DependenceTracker::record(uint64_t op_id,
         preconditions.push_back(u.completion);
         if (capture != nullptr) capture->dep_ops.push_back(u.op_id);
       }
-      // Epoch pruning: a writer that covers a prior user transitively
-      // orders every later conflicting operation, so the prior user can
-      // retire. Only writers dominate (a reader covering a writer must
-      // not hide it from later readers).
-      if (can_prune &&
-          pts.contains_all(forest_->region(u.region).ispace.points())) {
-        u.alive = false;
-        --st.alive;
-        ++st.dead;
-        if (capture != nullptr) {
-          capture->prunes.push_back(
-              {f, u.op_id, u.region, u.privilege, u.redop});
-        }
+      // Epoch pruning: a writer orders every later conflicting access to
+      // the points it overwrites, so a prior user retires once writers
+      // have overwritten all of its points. Only writers dominate (a
+      // reader covering a writer must not hide it from later readers).
+      if (!can_prune) continue;
+      const Coverage c = cover(st, u, pts);
+      if (c != Coverage::kNone && capture != nullptr) {
+        capture->covers.push_back({f, u.op_id, u.region, u.privilege,
+                                   u.redop, c == Coverage::kRetired});
       }
     }
 
@@ -93,7 +71,7 @@ std::vector<sim::Event> DependenceTracker::record(uint64_t op_id,
 
 uint64_t DependenceTracker::replay(uint64_t op_id, const Requirement& req,
                                    sim::Event completion,
-                                   const std::vector<Capture::Prune>& prunes,
+                                   const std::vector<Capture::Cover>& covers,
                                    uint64_t found) {
   const RegionNode& node = forest_->region(req.region);
   const support::IntervalSet& pts = node.ispace.points();
@@ -101,36 +79,93 @@ uint64_t DependenceTracker::replay(uint64_t op_id, const Requirement& req,
   if (!pts.empty()) query = pts.bounds();
 
   uint64_t scanned = 0;
+  size_t k = 0;  // next coverage step; record() emits them field by field
   for (FieldId f : req.fields) {
     FieldState& st = users_[{node.root, f}];
     // The virtual-time charge mirrors record(): what the exhaustive scan
     // would test against the live state at this point, before this
-    // call's own prunes take effect.
+    // call's own coverage takes effect.
     const uint64_t self_live = st.last_op == op_id ? st.last_op_live : 0;
     scanned += st.alive - self_live;
 
-    for (const Capture::Prune& p : prunes) {
-      if (p.field != f) continue;
-      bool pruned = false;
-      for (User& u : st.slots) {
-        if (u.alive && u.op_id == p.op_id && u.region == p.region &&
-            u.privilege == p.privilege && u.redop == p.redop) {
-          u.alive = false;
-          --st.alive;
-          ++st.dead;
-          pruned = true;
-          break;
+    if (k < covers.size() && covers[k].field == f) {
+      // This field's steps are a subsequence of the candidates in slot
+      // order, so one forward walk matches each step to its user (users
+      // with the same identity are registered back to back and always
+      // share their coverage, so the first live match is the right one).
+      collect_candidates(st, query);
+      for (uint32_t idx : cand_) {
+        if (k == covers.size() || covers[k].field != f) break;
+        const Capture::Cover& c = covers[k];
+        User& u = st.slots[idx];
+        if (!u.alive || u.op_id != c.op_id || u.region != c.region ||
+            u.privilege != c.privilege || u.redop != c.redop) {
+          continue;
         }
+        const Coverage got = cover(st, u, pts);
+        CR_CHECK_MSG(got != Coverage::kNone &&
+                         (got == Coverage::kRetired) == c.retired,
+                     "trace replay: coverage diverged from the captured "
+                     "iteration");
+        ++k;
       }
-      CR_CHECK_MSG(pruned, "trace replay pruned a user that is not live");
+      CR_CHECK_MSG(k == covers.size() || covers[k].field != f,
+                   "trace replay covered a user that is not live");
     }
 
     register_user(st, op_id, req, completion, query);
     maybe_rebuild(st);
   }
+  CR_CHECK_MSG(k == covers.size(),
+               "trace replay covered a field the requirement lacks");
   pairs_scanned_ += scanned;
   dependences_found_ += found;
   return scanned;
+}
+
+void DependenceTracker::collect_candidates(FieldState& st,
+                                           support::Interval query) {
+  cand_.clear();
+  if (linear_) {
+    for (size_t i = 0; i < st.slots.size(); ++i) {
+      cand_.push_back(static_cast<uint32_t>(i));
+    }
+    return;
+  }
+  if (query.empty()) return;
+  hits_.clear();
+  st.tree.query(query, hits_);
+  cand_.assign(hits_.begin(), hits_.end());
+  st.tail_touched += static_cast<uint64_t>(st.slots.size() - st.indexed_end);
+  for (size_t i = st.indexed_end; i < st.slots.size(); ++i) {
+    const support::Interval& b = st.slots[i].bounds;
+    if (b.lo < query.hi && query.lo < b.hi) {
+      cand_.push_back(static_cast<uint32_t>(i));
+    }
+  }
+  std::sort(cand_.begin(), cand_.end());
+}
+
+DependenceTracker::Coverage DependenceTracker::cover(
+    FieldState& st, User& u, const support::IntervalSet& pts) {
+  // A conflict implies the writer overlaps the user's region, so only an
+  // already partially covered user can come through untouched.
+  if (!u.uncovered.empty() && !u.uncovered.overlaps(pts)) {
+    return Coverage::kNone;
+  }
+  support::IntervalSet left =
+      (u.uncovered.empty() ? forest_->region(u.region).ispace.points()
+                           : u.uncovered)
+          .set_subtract(pts);
+  if (!left.empty()) {
+    u.uncovered = std::move(left);
+    return Coverage::kPartial;
+  }
+  u.uncovered = {};
+  u.alive = false;
+  --st.alive;
+  ++st.dead;
+  return Coverage::kRetired;
 }
 
 void DependenceTracker::register_user(FieldState& st, uint64_t op_id,
@@ -173,6 +208,20 @@ void DependenceTracker::maybe_rebuild(FieldState& st) {
   const bool tail_hot = st.tail_touched > 64 && st.tail_touched >= st.alive;
   if (!ratio_stale && !tail_hot) return;
   st.tail_touched = 0;
+  // Compact tombstones. The indexed prefix's sorted order survives in the
+  // old tree, so remember where each of its slots moved (kGone for
+  // tombstones) to reuse that order instead of re-sorting it.
+  constexpr uint32_t kGone = UINT32_MAX;
+  const bool remap = st.dead > 0 && !linear_;
+  size_t indexed_live = st.indexed_end;
+  if (remap) {
+    remap_.resize(st.indexed_end);
+    uint32_t live = 0;
+    for (size_t i = 0; i < st.indexed_end; ++i) {
+      remap_[i] = st.slots[i].alive ? live++ : kGone;
+    }
+    indexed_live = live;
+  }
   if (st.dead > 0) {
     std::erase_if(st.slots, [](const User& u) { return !u.alive; });
     st.dead = 0;
@@ -183,14 +232,25 @@ void DependenceTracker::maybe_rebuild(FieldState& st) {
     st.indexed_end = 0;
     return;
   }
+  // O(n + t log t) for a tail of t appends: keep the old entries in
+  // order (dropping tombstones), sort only the tail, and merge.
   std::vector<IntervalTree::Entry> entries;
   entries.reserve(st.slots.size());
-  for (size_t i = 0; i < st.slots.size(); ++i) {
+  for (const IntervalTree::Entry& e : st.tree.entries()) {
+    const uint32_t to = remap ? remap_[e.payload] : e.payload;
+    if (to != kGone) entries.push_back({e.iv, to});
+  }
+  const size_t sorted_end = entries.size();
+  for (size_t i = indexed_live; i < st.slots.size(); ++i) {
     if (!st.slots[i].bounds.empty()) {
       entries.push_back({st.slots[i].bounds, i});
     }
   }
-  st.tree = IntervalTree(std::move(entries));
+  const auto mid = entries.begin() + static_cast<ptrdiff_t>(sorted_end);
+  std::sort(mid, entries.end(), IntervalTree::Before{});
+  std::inplace_merge(entries.begin(), mid, entries.end(),
+                     IntervalTree::Before{});
+  st.tree = IntervalTree::from_sorted(std::move(entries));
   st.indexed_end = st.slots.size();
   ++index_rebuilds_;
 }

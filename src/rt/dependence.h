@@ -6,8 +6,15 @@
 // currently using elements of that tree. A new operation receives the
 // completion events of every prior user it conflicts with — overlapping
 // elements and non-compatible privileges — and is registered as a user
-// itself. Writers that fully cover earlier users retire them (epoch
-// pruning), which keeps the lists short for the common access patterns.
+// itself. Users retire by accumulated coverage (epoch pruning): every
+// later writer that conflicts with a user overwrites some of its
+// points, and once later writers have together overwritten all of
+// them, the user retires. A user spanning several pieces that are
+// written one piece at a time therefore retires after the last piece,
+// which keeps the lists proportional to the live data, not to the
+// number of launches. This is sound: the latest writer of every point
+// stays live, and it transitively depends on every retired user of
+// that point, so any later access still orders after them.
 //
 // This analysis is exactly the per-launch work a single control thread
 // must serialize in the implicit model. Two counters separate the
@@ -53,27 +60,31 @@ class DependenceTracker {
 
   // Capture of one record() call's analysis outcome, in a form that is
   // stable across loop iterations once the launch stream reaches steady
-  // state: predecessors and pruned users are identified by op id (plus
-  // the requirement identity for prunes), never by slot index — slot
+  // state: predecessors and covered users are identified by op id (plus
+  // the requirement identity for covers), never by slot index — slot
   // layout depends on compaction timing, which is host-side bookkeeping
   // and not part of the replayable contract.
   struct Capture {
     // Deduplicated predecessor op ids, in the order their completion
     // events entered the returned precondition vector.
     std::vector<uint64_t> dep_ops;
-    // Users retired by epoch pruning: which op's registration of which
-    // region (with which privilege) died, and under which field. The
-    // full identity is needed because one op may register several slots
-    // in one field state (a copy's read and write requirements share the
-    // root, and a task can pass one region through several arguments).
-    struct Prune {
+    // Coverage steps, in slot order per field: this writer overwrote
+    // some still-uncovered points of which op's registration of which
+    // region (with which privilege), under which field, and whether
+    // that user retired. The full identity is needed because one op may
+    // register several slots in one field state (a copy's read and
+    // write requirements share the root, and a task can pass one region
+    // through several arguments).
+    struct Cover {
       FieldId field = 0;
       uint64_t op_id = 0;
       RegionId region = kNoId;
       Privilege privilege = Privilege::kReadOnly;
       ReduceOp redop = ReduceOp::kSum;
+      bool retired = false;
+      bool operator==(const Cover&) const = default;
     };
-    std::vector<Prune> prunes;
+    std::vector<Cover> covers;
   };
 
   // Record an operation's use of a region; returns the completion events
@@ -87,20 +98,22 @@ class DependenceTracker {
                                  sim::Event completion,
                                  Capture* capture = nullptr);
 
-  // Replay a previously captured record() outcome without scanning or
-  // testing: charges pairs_scanned exactly as the exhaustive scan would
-  // (from the live state, not the capture), applies the given prunes,
-  // counts `found` dependences, and registers the new user — leaving
-  // the tracker in the same state an analyzed record() would have, so
-  // analysis can resume at any later operation. pairs_tested and the
-  // interval indexes are untouched (that is the host-time win). Returns
+  // Replay a previously captured record() outcome without testing:
+  // charges pairs_scanned exactly as the exhaustive scan would (from the
+  // live state, not the capture), applies the given coverage steps
+  // (CR_CHECKing that each retires its user exactly when it did at
+  // capture), counts `found` dependences, and registers the new user —
+  // leaving the tracker in the same state an analyzed record() would
+  // have, so analysis can resume at any later operation. No conflict is
+  // tested and pairs_tested is untouched (that is the host-time win);
+  // the interval index is only queried to locate covered users. Returns
   // the pairs_scanned delta so the caller can cross-check it against
   // the captured value; a mismatch means the launch stream left steady
   // state without a fingerprint change, which callers must treat as a
   // hard error, not an invalidation.
   uint64_t replay(uint64_t op_id, const Requirement& req,
                   sim::Event completion,
-                  const std::vector<Capture::Prune>& prunes, uint64_t found);
+                  const std::vector<Capture::Cover>& covers, uint64_t found);
 
   // Clear all user lists (between independent executions).
   void reset();
@@ -124,6 +137,10 @@ class DependenceTracker {
     support::Interval bounds;  // bounding extent of the region's points
                                // ({0, 0} for an empty region: matches no
                                // query, exactly as it overlaps nothing)
+    // Points no later writer has overwritten yet. Empty until the first
+    // partial cover (then all of the region's points are uncovered), so
+    // users retired by one covering writer never allocate it.
+    support::IntervalSet uncovered;
     bool alive = true;
   };
 
@@ -152,6 +169,13 @@ class DependenceTracker {
     uint64_t tail_touched = 0;
   };
 
+  // Fill cand_ with the slots whose bounds may overlap `query`, in
+  // insertion order (every slot in linear mode).
+  void collect_candidates(FieldState& st, support::Interval query);
+  // What a writer's points did to a conflicting user: overwrote none of
+  // its uncovered points, some of them, or the last of them (retired).
+  enum class Coverage { kNone, kPartial, kRetired };
+  Coverage cover(FieldState& st, User& u, const support::IntervalSet& pts);
   void register_user(FieldState& st, uint64_t op_id, const Requirement& req,
                      sim::Event completion, support::Interval bounds);
   void maybe_rebuild(FieldState& st);
@@ -161,6 +185,7 @@ class DependenceTracker {
   std::map<std::pair<RegionId, FieldId>, FieldState> users_;
   std::vector<uint32_t> cand_;   // scratch: candidate slot indices
   std::vector<uint64_t> hits_;   // scratch: raw interval-tree payloads
+  std::vector<uint32_t> remap_;  // scratch: slot index after compaction
   bool linear_ = false;
   uint64_t pairs_tested_ = 0;
   uint64_t pairs_scanned_ = 0;

@@ -13,11 +13,21 @@ namespace cr::rt {
 
 IntervalTree::IntervalTree(std::vector<Entry> entries)
     : entries_(std::move(entries)) {
-  std::sort(entries_.begin(), entries_.end(),
-            [](const Entry& a, const Entry& b) {
-              return a.iv.lo != b.iv.lo ? a.iv.lo < b.iv.lo
-                                        : a.iv.hi < b.iv.hi;
-            });
+  std::sort(entries_.begin(), entries_.end(), Before{});
+  index();
+}
+
+IntervalTree::IntervalTree(std::vector<Entry> entries, Sorted)
+    : entries_(std::move(entries)) {
+  CR_DCHECK(std::is_sorted(entries_.begin(), entries_.end(), Before{}));
+  index();
+}
+
+IntervalTree IntervalTree::from_sorted(std::vector<Entry> entries) {
+  return IntervalTree(std::move(entries), Sorted{});
+}
+
+void IntervalTree::index() {
   max_hi_.assign(entries_.size(), 0);
   if (!entries_.empty()) build(0, entries_.size());
 }

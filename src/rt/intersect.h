@@ -22,7 +22,8 @@
 
 namespace cr::rt {
 
-// Augmented static interval tree: O(n log n) build, O(log n + k) query.
+// Augmented static interval tree: O(n log n) build (O(n) from sorted
+// entries), O(log n + k) query.
 class IntervalTree {
  public:
   struct Entry {
@@ -31,6 +32,19 @@ class IntervalTree {
   };
   explicit IntervalTree(std::vector<Entry> entries);
 
+  // The order the tree keeps its entries in: by iv.lo, then iv.hi. A
+  // function object, so sorts inline the comparison.
+  struct Before {
+    bool operator()(const Entry& a, const Entry& b) const {
+      return a.iv.lo != b.iv.lo ? a.iv.lo < b.iv.lo : a.iv.hi < b.iv.hi;
+    }
+  };
+  // Build from entries already sorted by Before, skipping the sort:
+  // an incremental rebuild merges a sorted tail into entries() instead
+  // of re-sorting everything.
+  static IntervalTree from_sorted(std::vector<Entry> entries);
+  const std::vector<Entry>& entries() const { return entries_; }
+
   // Append payloads of all entries overlapping [q.lo, q.hi) to `out`
   // (duplicates possible if one payload owns several entries).
   void query(support::Interval q, std::vector<uint64_t>& out) const;
@@ -38,6 +52,9 @@ class IntervalTree {
   size_t size() const { return entries_.size(); }
 
  private:
+  struct Sorted {};
+  IntervalTree(std::vector<Entry> entries, Sorted);
+  void index();
   void build(size_t lo, size_t hi);
   void query_rec(size_t lo, size_t hi, support::Interval q,
                  std::vector<uint64_t>& out) const;

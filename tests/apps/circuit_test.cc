@@ -154,6 +154,40 @@ TEST(Circuit, SpmdWithBarriersAndNoIntersectionsStillCorrect) {
 }
 
 
+// Host cost must not grow faster than the simulated problem: without
+// CR, the implicit control thread's dependence work per step stays flat
+// as steps grow. Circuit is the case that needs accumulated-coverage
+// retirement: its ghost readers and reducers of `charge` span several
+// pieces, which later steps overwrite one piece at a time.
+TEST(Circuit, ImplicitDependenceWorkPerStepIsFlat) {
+  auto per_step = [](uint64_t steps) {
+    CostModel cost;
+    cost.track_dependences = true;
+    rt::Runtime rt(exec::runtime_config(2, 4, cost, /*real_data=*/false));
+    Config cfg;
+    cfg.nodes = 2;
+    cfg.nodes_per_piece = 32;
+    cfg.wires_per_piece = 96;
+    cfg.pct_cross = 0.15;
+    cfg.steps = steps;
+    App app = build(rt, cfg);
+    for (auto& t : app.program.tasks) t.kernel = nullptr;
+    exec::PreparedRun run = exec::prepare(
+        rt, app.program, {.cost = cost, .mode = exec::ExecMode::kImplicit});
+    const exec::ExecutionResult res = run.run();
+    const double n = static_cast<double>(steps);
+    return std::pair{res.metrics.at("rt.dep.pairs_tested") / n,
+                     res.metrics.at("rt.dep.pairs_scanned") / n};
+  };
+  const auto [tested3, scanned3] = per_step(3);
+  for (const uint64_t steps : {uint64_t{6}, uint64_t{12}}) {
+    const auto [tested, scanned] = per_step(steps);
+    EXPECT_NEAR(tested, tested3, 0.2 * tested3) << steps << " steps";
+    EXPECT_NEAR(scanned, scanned3, 0.2 * scanned3) << steps << " steps";
+  }
+}
+
+
 // The full pipeline-option matrix on the most structurally demanding app
 // (hierarchical trees + region reductions): every combination must still
 // reproduce the oracle.

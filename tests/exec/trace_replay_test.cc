@@ -10,6 +10,7 @@
 #include <map>
 #include <string>
 
+#include "apps/circuit/circuit.h"
 #include "exec/implicit_exec.h"
 #include "support/rng.h"
 #include "testing/fig2.h"
@@ -154,6 +155,44 @@ TEST(TraceReplay, EngineReuseStartsAnalysisClean) {
   // which is what the absolute end time would report.
   EXPECT_GT(r2.makespan_ns, 0u);
   EXPECT_LT(r2.makespan_ns, r1.makespan_ns + r1.makespan_ns / 2);
+}
+
+// Circuit without CR: ghost readers and reducers of `charge` span
+// several pieces and retire by accumulated coverage, so every captured
+// iteration carries partial coverage steps. No template installs here
+// yet (readers of the wire fields the loop never writes keep growing,
+// so no two iterations match), which this pins as neutral too.
+TEST(TraceReplay, CircuitBitIdentical) {
+  auto run_circuit = [](bool replay) {
+    CostModel cost;
+    cost.track_dependences = true;
+    rt::Runtime rt(runtime_config(2, 4, cost, /*real_data=*/true));
+    apps::circuit::Config cc;
+    cc.nodes = 2;
+    cc.nodes_per_piece = 32;
+    cc.wires_per_piece = 96;
+    cc.pct_cross = 0.15;
+    cc.steps = 6;
+    apps::circuit::App app = apps::circuit::build(rt, cc);
+    ExecConfig cfg;
+    cfg.cost = cost;
+    cfg.mode = ExecMode::kImplicit;
+    cfg.check = true;
+    cfg.trace_replay = replay;
+    PreparedRun run = prepare(rt, app.program, cfg);
+    return run.run();
+  };
+  const ExecutionResult ref = run_circuit(false);
+  const ExecutionResult got = run_circuit(true);
+  EXPECT_EQ(got.makespan_ns, ref.makespan_ns);
+  EXPECT_EQ(virtual_metrics(got.metrics), virtual_metrics(ref.metrics));
+  ASSERT_NE(got.check, nullptr);
+  ASSERT_NE(ref.check, nullptr);
+  EXPECT_TRUE(ref.check->ok());
+  EXPECT_EQ(got.check->ok(), ref.check->ok());
+  EXPECT_EQ(got.check->stats.races, ref.check->stats.races);
+  EXPECT_EQ(got.check->stats.accesses, ref.check->stats.accesses);
+  EXPECT_EQ(got.check->stats.pairs_checked, ref.check->stats.pairs_checked);
 }
 
 // Property test: randomized iterative programs (random regions, aliased

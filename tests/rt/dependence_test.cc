@@ -134,6 +134,70 @@ TEST(Dependence, CoveringWriterPrunesEpoch) {
   EXPECT_EQ(d4[0], e3.event());
 }
 
+// A user spanning two pieces retires by accumulated coverage: one
+// piecewise writer leaves it live, the second retires it, and later
+// readers of each half then order only after that half's writer.
+TEST(Dependence, SpanningUserRetiresAfterPiecewiseCover) {
+  Fixture f;
+  const PartitionId halves = partition_equal(f.forest, f.r, 2);
+  DependenceTracker deps(f.forest);
+  sim::UserEvent e1(f.sim), e2(f.sim), e3(f.sim), e4(f.sim), e5(f.sim);
+  // Reader of [0, 50): pieces 0 and 1 of the quarter partition.
+  deps.record(1, f.req(f.forest.subregion(halves, 0), Privilege::kReadOnly),
+              e1.event());
+  auto d2 = deps.record(
+      2, f.req(f.forest.subregion(f.p, 0), Privilege::kReadWrite),
+      e2.event());
+  ASSERT_EQ(d2.size(), 1u);
+  EXPECT_EQ(d2[0], e1.event());
+  // Still live: the second piece's writer orders after the reader.
+  auto d3 = deps.record(
+      3, f.req(f.forest.subregion(f.p, 1), Privilege::kReadWrite),
+      e3.event());
+  ASSERT_EQ(d3.size(), 1u);
+  EXPECT_EQ(d3[0], e1.event());
+  // Retired: only the two writers remain live.
+  const uint64_t scanned0 = deps.pairs_scanned();
+  auto d4 = deps.record(
+      4, f.req(f.forest.subregion(f.p, 0), Privilege::kReadOnly),
+      e4.event());
+  EXPECT_EQ(deps.pairs_scanned() - scanned0, 2u);
+  ASSERT_EQ(d4.size(), 1u);
+  EXPECT_EQ(d4[0], e2.event());
+  auto d5 = deps.record(
+      5, f.req(f.forest.subregion(f.p, 1), Privilege::kReadOnly),
+      e5.event());
+  ASSERT_EQ(d5.size(), 1u);
+  EXPECT_EQ(d5[0], e3.event());
+}
+
+// Reducers never retire other users, but are retired like readers.
+TEST(Dependence, SpanningReducerRetiresAfterPiecewiseCover) {
+  Fixture f;
+  const PartitionId halves = partition_equal(f.forest, f.r, 2);
+  const RegionId half = f.forest.subregion(halves, 1);  // pieces 2 and 3
+  DependenceTracker deps(f.forest);
+  sim::UserEvent e1(f.sim), e2(f.sim), e3(f.sim), e4(f.sim), e5(f.sim);
+  deps.record(1, f.req(half, Privilege::kReduce), e1.event());
+  auto d2 = deps.record(
+      2, f.req(f.forest.subregion(f.p, 2), Privilege::kReadWrite),
+      e2.event());
+  ASSERT_EQ(d2.size(), 1u);
+  // Still live: a reader of the other piece conflicts with the reducer.
+  auto d3 = deps.record(
+      3, f.req(f.forest.subregion(f.p, 3), Privilege::kReadOnly),
+      e3.event());
+  ASSERT_EQ(d3.size(), 1u);
+  EXPECT_EQ(d3[0], e1.event());
+  auto d4 = deps.record(
+      4, f.req(f.forest.subregion(f.p, 3), Privilege::kWriteDiscard),
+      e4.event());
+  EXPECT_EQ(d4, (std::vector<sim::Event>{e1.event(), e3.event()}));
+  // Retired: a reader of the whole half sees only the piece writers.
+  auto d5 = deps.record(5, f.req(half, Privilege::kReadOnly), e5.event());
+  EXPECT_EQ(d5, (std::vector<sim::Event>{e2.event(), e4.event()}));
+}
+
 TEST(Dependence, ReaderDoesNotPruneWriter) {
   Fixture f;
   DependenceTracker deps(f.forest);
@@ -206,7 +270,7 @@ TEST(Dependence, ReplayReproducesCapturedAnalysis) {
     const uint64_t found = analyzed.dependences_found() - found0;
 
     const uint64_t scanned =
-        replayed.replay(op, req, done, cap.prunes, found);
+        replayed.replay(op, req, done, cap.covers, found);
     EXPECT_EQ(scanned, analyzed.pairs_scanned() - scanned0) << "op " << op;
     std::vector<sim::Event> resolved;
     for (uint64_t dep : cap.dep_ops) resolved.push_back(completion_of[dep]);
@@ -226,6 +290,71 @@ TEST(Dependence, ReplayReproducesCapturedAnalysis) {
   auto dr = replayed.record(7, next, events.back().event());
   EXPECT_EQ(da, dr);
   EXPECT_EQ(replayed.pairs_scanned(), analyzed.pairs_scanned());
+}
+
+// Capture/replay of a partial cover: the capture records each coverage
+// step with its retire outcome, replay applies the partial step (the
+// user stays live, with fewer uncovered points) and then the retiring
+// one, and analysis resumes on the replayed tracker in the same state.
+TEST(Dependence, ReplayReproducesPartialCover) {
+  Fixture f;
+  const PartitionId halves = partition_equal(f.forest, f.r, 2);
+  DependenceTracker analyzed(f.forest);
+  DependenceTracker replayed(f.forest);
+  std::vector<sim::UserEvent> events;
+  events.reserve(8);
+  const Requirement reqs[] = {
+      f.req(f.forest.subregion(halves, 0), Privilege::kReadOnly),
+      f.req(f.forest.subregion(f.p, 0), Privilege::kReadWrite),
+      f.req(f.forest.subregion(f.p, 1), Privilege::kReadWrite)};
+  std::vector<DependenceTracker::Capture> caps(3);
+  for (uint64_t op = 1; op <= 3; ++op) {
+    events.emplace_back(f.sim);
+    const Requirement& req = reqs[op - 1];
+    const uint64_t found0 = analyzed.dependences_found();
+    analyzed.record(op, req, events.back().event(), &caps[op - 1]);
+    replayed.replay(op, req, events.back().event(), caps[op - 1].covers,
+                    analyzed.dependences_found() - found0);
+    EXPECT_EQ(replayed.pairs_scanned(), analyzed.pairs_scanned())
+        << "op " << op;
+  }
+  using Cover = DependenceTracker::Capture::Cover;
+  const RegionId spanning = reqs[0].region;
+  EXPECT_TRUE(caps[0].covers.empty());
+  EXPECT_EQ(caps[1].covers,
+            (std::vector<Cover>{{f.v, 1, spanning, Privilege::kReadOnly,
+                                 ReduceOp::kSum, /*retired=*/false}}));
+  EXPECT_EQ(caps[2].covers,
+            (std::vector<Cover>{{f.v, 1, spanning, Privilege::kReadOnly,
+                                 ReduceOp::kSum, /*retired=*/true}}));
+
+  events.emplace_back(f.sim);
+  const Requirement next = f.req(f.r, Privilege::kReadOnly);
+  auto da = analyzed.record(4, next, events.back().event());
+  auto dr = replayed.record(4, next, events.back().event());
+  EXPECT_EQ(da, dr);
+  EXPECT_EQ(da.size(), 2u);
+  EXPECT_EQ(replayed.pairs_scanned(), analyzed.pairs_scanned());
+}
+
+// A replayed step whose retire outcome differs from the live state's is
+// a divergence from the captured iteration, never silently applied.
+TEST(DependenceDeath, ReplayDivergentCoverAborts) {
+  Fixture f;
+  const PartitionId halves = partition_equal(f.forest, f.r, 2);
+  DependenceTracker deps(f.forest);
+  sim::UserEvent e1(f.sim), e2(f.sim);
+  const RegionId spanning = f.forest.subregion(halves, 0);
+  deps.record(1, f.req(spanning, Privilege::kReadOnly), e1.event());
+  // One piece of two cannot retire the spanning reader.
+  const std::vector<DependenceTracker::Capture::Cover> wrong{
+      {f.v, 1, spanning, Privilege::kReadOnly, ReduceOp::kSum,
+       /*retired=*/true}};
+  EXPECT_DEATH(deps.replay(2,
+                           f.req(f.forest.subregion(f.p, 0),
+                                 Privilege::kReadWrite),
+                           e2.event(), wrong, 1),
+               "coverage diverged");
 }
 
 // The rebuild amortization must be bounded by accumulated tail-scan
@@ -260,7 +389,8 @@ TEST(Dependence, TailScanWorkTriggersRebuild) {
 }
 
 // Property: the indexed tracker must return the identical precondition
-// vectors (same events, same order), prune the identical epochs, and
+// vectors (same events, same order), make the identical coverage steps
+// (partial covers and retirements), and
 // charge the identical pairs_scanned as the exhaustive linear scan, on
 // randomized launch sequences over a randomized forest — while testing
 // no more pairs than the scan would.
@@ -306,6 +436,7 @@ TEST_P(DependenceIndexEquivalence, IndexedMatchesLinearScan) {
                              Privilege::kWriteDiscard, Privilege::kReduce};
   std::vector<sim::UserEvent> events;
   events.reserve(400);
+  uint64_t partial_covers = 0;
   for (uint64_t op = 1; op <= 400; ++op) {
     // Some operations (like copies) record several requirements.
     const int nreqs = 1 + static_cast<int>(rng.next_below(2));
@@ -318,16 +449,24 @@ TEST_P(DependenceIndexEquivalence, IndexedMatchesLinearScan) {
                                       : std::vector<FieldId>{fv, fw};
       events.emplace_back(sim);
       const sim::Event done = events.back().event();
-      auto d1 = linear.record(op, req, done);
-      auto d2 = indexed.record(op, req, done);
+      DependenceTracker::Capture c1, c2;
+      auto d1 = linear.record(op, req, done, &c1);
+      auto d2 = indexed.record(op, req, done, &c2);
       ASSERT_EQ(d1, d2) << "op " << op << " (seed " << GetParam() << ")";
+      ASSERT_EQ(c1.covers, c2.covers) << "op " << op;
+      for (const auto& c : c1.covers) partial_covers += c.retired ? 0 : 1;
     }
   }
+  // The random forest's overlapping and spanning regions must exercise
+  // accumulated coverage, not only single-writer retirement.
+  EXPECT_GT(partial_covers, 0u);
   EXPECT_EQ(linear.dependences_found(), indexed.dependences_found());
   EXPECT_EQ(linear.pairs_scanned(), indexed.pairs_scanned());
   EXPECT_EQ(linear.pairs_tested(), linear.pairs_scanned());
   EXPECT_LE(indexed.pairs_tested(), linear.pairs_tested());
   EXPECT_GT(indexed.index_queries(), 0u);
+  // Rebuilds merged tails into the previous trees along the way.
+  EXPECT_GT(indexed.index_rebuilds(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DependenceIndexEquivalence,

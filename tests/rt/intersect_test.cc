@@ -52,16 +52,21 @@ TEST_P(IntervalTreeProperty, MatchesBruteForce) {
     entries.push_back({{lo, lo + 1 + rng.next_below(60)}, i});
   }
   IntervalTree tree(entries);
+  // A tree built from already sorted entries (the incremental rebuild's
+  // path) answers identically.
+  const IntervalTree presorted = IntervalTree::from_sorted(tree.entries());
   for (int q = 0; q < 30; ++q) {
     const uint64_t lo = rng.next_below(1000);
     const support::Interval qi{lo, lo + 1 + rng.next_below(100)};
-    std::vector<uint64_t> got;
+    std::vector<uint64_t> got, got_presorted;
     tree.query(qi, got);
+    presorted.query(qi, got_presorted);
     std::set<uint64_t> want;
     for (const auto& e : entries) {
       if (e.iv.lo < qi.hi && e.iv.hi > qi.lo) want.insert(e.payload);
     }
     EXPECT_EQ(std::set<uint64_t>(got.begin(), got.end()), want);
+    EXPECT_EQ(got_presorted, got);
   }
 }
 
