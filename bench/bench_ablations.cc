@@ -25,12 +25,29 @@ exec::CostModel bench_cost() {
   return cost;
 }
 
-double run_circuit_spmd(bench::Bench& bench, uint32_t nodes,
-                        passes::PipelineOptions opt,
-                        exec::ExecutionResult* out = nullptr,
-                        passes::PipelineReport* report = nullptr) {
-  exec::CostModel cost = bench_cost();
-  rt::Runtime rt(exec::runtime_config(nodes, 12, cost, false));
+// Runs the ablations' executions, all with CR, and keeps each one as a
+// record for the exit code (--check) and --host-trace.
+struct Runner {
+  const bench::Bench& bench;
+  std::vector<bench::PointRecord> records;
+
+  exec::ExecutionResult spmd(rt::Runtime& rt, ir::Program program,
+                             passes::PipelineOptions opt = {},
+                             passes::PipelineReport* report = nullptr) {
+    bench::PointRecord rec;
+    rec.runs.push_back(bench::run_timing(
+        rt, std::move(program),
+        bench.config(exec::ExecMode::kSpmd, bench_cost(), opt), report));
+    exec::ExecutionResult res = rec.runs.back();
+    bench::append_record(records, std::move(rec));
+    return res;
+  }
+};
+
+exec::ExecutionResult run_circuit_spmd(
+    Runner& runner, uint32_t nodes, passes::PipelineOptions opt,
+    passes::PipelineReport* report = nullptr) {
+  rt::Runtime rt(exec::runtime_config(nodes, 12, bench_cost(), false));
   apps::circuit::Config cfg;
   cfg.nodes = nodes;
   cfg.pieces_per_node = 4;
@@ -39,18 +56,10 @@ double run_circuit_spmd(bench::Bench& bench, uint32_t nodes,
   cfg.steps = 4;
   cfg.ns_per_wire = 50000;
   cfg.ns_per_node = 10000;
-  auto app = apps::circuit::build(rt, cfg);
-  for (auto& t : app.program.tasks) t.kernel = nullptr;
-  exec::PreparedRun run = exec::prepare(
-      rt, app.program, bench.config(exec::ExecMode::kSpmd, cost, opt));
-  exec::ExecutionResult res = run.run();
-  bench.record(res);
-  if (out != nullptr) *out = res;
-  if (report != nullptr) *report = run.report;
-  return exec::to_seconds(res.makespan_ns);
+  return runner.spmd(rt, apps::circuit::build(rt, cfg).program, opt, report);
 }
 
-void ablation_intersections(bench::Bench& bench) {
+void ablation_intersections(Runner& runner) {
   std::printf(
       "\nA1: copy intersection optimization (§3.3) — Circuit, SPMD\n");
   std::printf("%-8s %-16s %-16s %-18s %-18s\n", "nodes", "with (s)",
@@ -58,21 +67,20 @@ void ablation_intersections(bench::Bench& bench) {
   for (uint32_t nodes : {16u, 64u, 128u}) {
     passes::PipelineOptions on, off;
     off.intersection_opt = false;
-    exec::ExecutionResult r_on, r_off;
-    const double t_on = run_circuit_spmd(bench, nodes, on, &r_on);
-    const double t_off = run_circuit_spmd(bench, nodes, off, &r_off);
-    std::printf("%-8u %-16.4f %-16.4f %-18llu %-18llu\n", nodes, t_on,
-                t_off,
+    const exec::ExecutionResult r_on = run_circuit_spmd(runner, nodes, on);
+    const exec::ExecutionResult r_off = run_circuit_spmd(runner, nodes, off);
+    std::printf("%-8u %-16.4f %-16.4f %-18llu %-18llu\n", nodes,
+                exec::to_seconds(r_on.makespan_ns),
+                exec::to_seconds(r_off.makespan_ns),
                 (unsigned long long)(r_on.copies_issued + r_on.copies_skipped),
                 (unsigned long long)(r_off.copies_issued +
                                      r_off.copies_skipped));
   }
 }
 
-double run_pennant_spmd(bench::Bench& bench, uint32_t nodes,
+double run_pennant_spmd(Runner& runner, uint32_t nodes,
                         passes::PipelineOptions opt) {
-  exec::CostModel cost = bench_cost();
-  rt::Runtime rt(exec::runtime_config(nodes, 12, cost, false));
+  rt::Runtime rt(exec::runtime_config(nodes, 12, bench_cost(), false));
   apps::pennant::Config cfg;
   cfg.nodes = nodes;
   cfg.pieces_per_node = 4;
@@ -81,37 +89,33 @@ double run_pennant_spmd(bench::Bench& bench, uint32_t nodes,
   cfg.steps = 6;
   cfg.ns_per_zone = 100000;
   cfg.ns_per_point = 30000;
-  auto app = apps::pennant::build(rt, cfg);
-  for (auto& t : app.program.tasks) t.kernel = nullptr;
-  exec::PreparedRun run = exec::prepare(
-      rt, app.program, bench.config(exec::ExecMode::kSpmd, cost, opt));
-  const exec::ExecutionResult res = run.run();
-  bench.record(res);
-  return exec::to_seconds(res.makespan_ns);
+  return exec::to_seconds(
+      runner.spmd(rt, apps::pennant::build(rt, cfg).program, opt)
+          .makespan_ns);
 }
 
-void ablation_sync(bench::Bench& bench) {
+void ablation_sync(Runner& runner) {
   std::printf("\nA2: point-to-point sync vs barriers (§3.4) — PENNANT\n");
   std::printf("%-8s %-16s %-16s\n", "nodes", "p2p (s)", "barriers (s)");
   for (uint32_t nodes : {4u, 16u, 64u}) {
     passes::PipelineOptions p2p, barrier;
     barrier.p2p_sync = false;
     std::printf("%-8u %-16.4f %-16.4f\n", nodes,
-                run_pennant_spmd(bench, nodes, p2p),
-                run_pennant_spmd(bench, nodes, barrier));
+                run_pennant_spmd(runner, nodes, p2p),
+                run_pennant_spmd(runner, nodes, barrier));
   }
 }
 
-void ablation_hierarchy(bench::Bench& bench) {
+void ablation_hierarchy(Runner& runner) {
   std::printf(
       "\nA3: hierarchical region trees (§4.5) — Circuit, SPMD at 32 "
       "nodes\n");
   for (bool hier : {true, false}) {
     passes::PipelineOptions opt;
     opt.hierarchical = hier;
-    exec::ExecutionResult res;
     passes::PipelineReport report;
-    const double t = run_circuit_spmd(bench, 32, opt, &res, &report);
+    const double t = exec::to_seconds(
+        run_circuit_spmd(runner, 32, opt, &report).makespan_ns);
     std::printf(
         "  %-12s makespan %.4f s; compiler emitted %zu inner copies and "
         "%zu intersection tables (flat cannot prove the private "
@@ -123,11 +127,9 @@ void ablation_hierarchy(bench::Bench& bench) {
 
 // A4 uses a synthetic two-writer loop where naive data replication emits
 // a provably dead copy per iteration.
-double run_placement_program(bench::Bench& bench, bool placement,
-                             exec::ExecutionResult* out = nullptr,
-                             passes::PipelineReport* report = nullptr) {
-  exec::CostModel cost = bench_cost();
-  rt::Runtime rt(exec::runtime_config(16, 12, cost, false));
+exec::ExecutionResult run_placement_program(Runner& runner, bool placement,
+                                            passes::PipelineReport* report) {
+  rt::Runtime rt(exec::runtime_config(16, 12, bench_cost(), false));
   auto& forest = rt.forest();
   auto fsa = std::make_shared<rt::FieldSpace>();
   rt::FieldId f = fsa->add_field("v", rt::FieldType::kF64, 4096);
@@ -167,41 +169,35 @@ double run_placement_program(bench::Bench& bench, bool placement,
   ir::Program program = b.finish();
   passes::PipelineOptions opt;
   opt.copy_placement = placement;
-  exec::PreparedRun run =
-      exec::prepare(rt, program, bench.config(exec::ExecMode::kSpmd, cost, opt));
-  exec::ExecutionResult res = run.run();
-  bench.record(res);
-  if (out != nullptr) *out = res;
-  if (report != nullptr) *report = run.report;
-  return exec::to_seconds(res.makespan_ns);
+  return runner.spmd(rt, std::move(program), opt, report);
 }
 
-void ablation_placement(bench::Bench& bench) {
+void ablation_placement(Runner& runner) {
   std::printf(
       "\nA4: copy placement PRE+LICM (§3.2) — synthetic two-writer loop, "
       "16 nodes\n");
   std::printf("%-20s %-14s %-16s %-14s\n", "", "seconds", "copies issued",
               "removed by PRE");
   for (bool placement : {true, false}) {
-    exec::ExecutionResult res;
     passes::PipelineReport report;
-    const double t = run_placement_program(bench, placement, &res, &report);
+    const exec::ExecutionResult res =
+        run_placement_program(runner, placement, &report);
     std::printf("%-20s %-14.4f %-16llu %-14zu\n",
-                placement ? "with placement" : "without placement", t,
+                placement ? "with placement" : "without placement",
+                exec::to_seconds(res.makespan_ns),
                 (unsigned long long)res.copies_issued,
                 report.copies_removed);
   }
 }
 
-void ablation_mapping(bench::Bench& bench) {
+void ablation_mapping(Runner& runner) {
   std::printf(
       "\nA5: mapping granularity (§4.2) — Stencil at 64 nodes, tasks per "
       "node\n");
   std::printf("%-16s %-16s\n", "tasks/node", "seconds/iter");
   for (uint32_t tpn : {1u, 4u, 11u, 22u, 44u}) {
     auto total = [&](uint64_t steps) {
-      exec::CostModel cost = bench_cost();
-      rt::Runtime rt(exec::runtime_config(64, 12, cost, false));
+      rt::Runtime rt(exec::runtime_config(64, 12, bench_cost(), false));
       apps::stencil::Config cfg;
       cfg.nodes = 64;
       cfg.tasks_per_node = tpn;
@@ -209,13 +205,9 @@ void ablation_mapping(bench::Bench& bench) {
       cfg.tile_y = 16;
       cfg.steps = steps;
       cfg.ns_per_point = 1.07e9 / (16 * 16) / 1.3 / tpn;
-      auto app = apps::stencil::build(rt, cfg);
-      for (auto& t : app.program.tasks) t.kernel = nullptr;
-      exec::PreparedRun run = exec::prepare(
-          rt, app.program, bench.config(exec::ExecMode::kSpmd, cost));
-      const exec::ExecutionResult res = run.run();
-      bench.record(res);
-      return exec::to_seconds(res.makespan_ns);
+      return exec::to_seconds(
+          runner.spmd(rt, apps::stencil::build(rt, cfg).program)
+              .makespan_ns);
     };
     std::printf("%-16u %-16.4f\n", tpn,
                 cr::bench::steady_seconds(total, 2, 6));
@@ -225,11 +217,12 @@ void ablation_mapping(bench::Bench& bench) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  cr::bench::Bench bench("ablations", argc, argv);
-  ablation_intersections(bench);
-  ablation_sync(bench);
-  ablation_hierarchy(bench);
-  ablation_placement(bench);
-  ablation_mapping(bench);
-  return bench.finish();
+  const cr::bench::Bench bench("ablations", argc, argv);
+  Runner runner{bench, {}};
+  ablation_intersections(runner);
+  ablation_sync(runner);
+  ablation_hierarchy(runner);
+  ablation_placement(runner);
+  ablation_mapping(runner);
+  return bench.finish(runner.records);
 }

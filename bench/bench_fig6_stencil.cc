@@ -44,28 +44,8 @@ Config make_config(uint32_t nodes, uint64_t steps) {
   return cfg;
 }
 
-double run_engine(bench::Bench& bench, uint32_t nodes, bool spmd) {
-  auto total = [&](uint64_t steps) {
-    exec::CostModel cost = exec::CostModel::piz_daint();
-    cost.track_dependences = false;
-    // Master-side per-point-task cost without CR: dynamic dependence +
-    // physical analysis + remote mapping, see EXPERIMENTS.md.
-    cost.implicit_launch_ns = 2.0e6;
-    Config cfg = make_config(nodes, steps);
-    rt::Runtime rt(exec::runtime_config(nodes, 12, cost, false));
-    bench::TraceScope trace(bench, rt, spmd ? "stencil-cr" : "stencil-nocr",
-                            nodes);
-    apps::stencil::App app = apps::stencil::build(rt, cfg);
-    for (auto& t : app.program.tasks) t.kernel = nullptr;
-    exec::PreparedRun run = exec::prepare(
-        rt, app.program,
-        bench.config(spmd ? exec::ExecMode::kSpmd : exec::ExecMode::kImplicit,
-                     cost));
-    const exec::ExecutionResult res = run.run();
-    bench.record(res);
-    return exec::to_seconds(res.makespan_ns);
-  };
-  return bench::steady_seconds(total, 2, 6);
+ir::Program build_app(rt::Runtime& rt, uint32_t nodes, uint64_t steps) {
+  return apps::stencil::build(rt, make_config(nodes, steps)).program;
 }
 
 // --selftime dependence study: the implicit master's dynamic dependence
@@ -75,68 +55,64 @@ double run_engine(bench::Bench& bench, uint32_t nodes, bool spmd) {
 // bit-identical; the index reduces how many exact conflict tests
 // (pairs_tested) the host performs, and replay removes the steady-state
 // remainder entirely. Returns false if any makespan diverged.
-bool dependence_study(bench::Bench& bench,
+bool dependence_study(const bench::Bench& bench,
                       exec::ScalingReport& analysis_report) {
   if (!bench.options().selftime) return true;
   const uint32_t nodes = cr::bench::node_counts().back();
-  struct StudyRun {
-    exec::ExecutionResult res;
-    double host_seconds = 0;
-  };
+  // One implicit run with the tracker on; analysis.host_seconds is the
+  // host wall-clock of the run itself (not of its preparation).
   auto run_one = [&](bool linear, bool replay, uint64_t steps) {
     exec::CostModel cost = exec::CostModel::piz_daint();
     cost.track_dependences = true;
-    Config cfg = make_config(nodes, steps);
     rt::Runtime rt(exec::runtime_config(nodes, 12, cost, false));
     rt.deps().set_linear_scan(linear);
-    apps::stencil::App app = apps::stencil::build(rt, cfg);
-    for (auto& t : app.program.tasks) t.kernel = nullptr;
+    ir::Program program = build_app(rt, nodes, steps);
+    for (auto& t : program.tasks) t.kernel = nullptr;
     exec::ExecConfig ecfg = bench.config(exec::ExecMode::kImplicit, cost);
     // The study compares replay against plain indexing, so each leg
     // pins the flag regardless of --replay on the command line.
     ecfg.trace_replay = replay;
-    exec::PreparedRun run = exec::prepare(rt, app.program, ecfg);
+    exec::PreparedRun run = exec::prepare(rt, std::move(program), ecfg);
     const auto begin = std::chrono::steady_clock::now();
-    StudyRun out{run.run(), 0};
-    out.host_seconds =
+    exec::ExecutionResult res = run.run();
+    res.analysis.host_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       begin)
             .count();
-    return out;
+    return res;
+  };
+  // Each study run is one point of its own series in the analysis
+  // artifact.
+  auto add_series = [&](const char* name, const exec::ExecutionResult& r,
+                        uint64_t iterations) {
+    exec::ScalingPoint pt;
+    pt.nodes = nodes;
+    pt.seconds = exec::to_seconds(r.makespan_ns);
+    pt.work_per_node = kPaperPointsPerNode;
+    pt.iterations = static_cast<double>(iterations);
+    pt.has_analysis = true;
+    pt.analysis = r.analysis;
+    analysis_report.series.push_back({name, {pt}});
   };
   std::fprintf(stderr, "  [dependence study] %u nodes...\n", nodes);
-  StudyRun linear = run_one(true, false, 4);
-  StudyRun indexed = run_one(false, false, 4);
-  linear.res.analysis.host_seconds = linear.host_seconds;
-  indexed.res.analysis.host_seconds = indexed.host_seconds;
-  bool same = linear.res.makespan_ns == indexed.res.makespan_ns;
+  const exec::ExecutionResult linear = run_one(true, false, 4);
+  const exec::ExecutionResult indexed = run_one(false, false, 4);
+  bool same = linear.makespan_ns == indexed.makespan_ns;
   const double drop =
-      indexed.res.analysis.dep_pairs_tested > 0
-          ? static_cast<double>(linear.res.analysis.dep_pairs_tested) /
-                static_cast<double>(indexed.res.analysis.dep_pairs_tested)
+      indexed.analysis.dep_pairs_tested > 0
+          ? static_cast<double>(linear.analysis.dep_pairs_tested) /
+                static_cast<double>(indexed.analysis.dep_pairs_tested)
           : 0;
   std::printf(
       "dependence study [implicit stencil, %u nodes, tracker on]\n"
       "  linear scan:\n%s  indexed:\n%s"
       "  pairs_tested reduction: %.1fx; makespans %s (%llu ns)\n\n",
-      nodes, linear.res.analysis.to_text().c_str(),
-      indexed.res.analysis.to_text().c_str(), drop,
+      nodes, linear.analysis.to_text().c_str(),
+      indexed.analysis.to_text().c_str(), drop,
       same ? "identical" : "DIFFER",
-      static_cast<unsigned long long>(indexed.res.makespan_ns));
-  for (const auto* r : {&linear, &indexed}) {
-    exec::ScalingSeries s;
-    s.name = r == &linear ? "dep-study linear" : "dep-study indexed";
-    exec::ScalingPoint pt;
-    pt.nodes = nodes;
-    pt.seconds = exec::to_seconds(r->res.makespan_ns);
-    pt.work_per_node = kPaperPointsPerNode;
-    pt.iterations = 4;
-    pt.has_analysis = true;
-    pt.analysis = r->res.analysis;
-    pt.analysis.host_seconds = r->host_seconds;
-    s.points.push_back(pt);
-    analysis_report.series.push_back(std::move(s));
-  }
+      static_cast<unsigned long long>(indexed.makespan_ns));
+  add_series("dep-study linear", linear, 4);
+  add_series("dep-study indexed", indexed, 4);
 
   // Replay study: indexed vs indexed+replay at two step counts. The
   // per-step difference isolates the steady state (capture warmup and
@@ -144,22 +120,23 @@ bool dependence_study(bench::Bench& bench,
   // their time and where replay should drive pairs_tested to zero.
   const uint64_t lo = 6, hi = 22;
   std::fprintf(stderr, "  [replay study] %u nodes...\n", nodes);
-  StudyRun idx_lo = run_one(false, false, lo);
-  StudyRun idx_hi = run_one(false, false, hi);
-  StudyRun rep_lo = run_one(false, true, lo);
-  StudyRun rep_hi = run_one(false, true, hi);
-  same = same && idx_lo.res.makespan_ns == rep_lo.res.makespan_ns &&
-         idx_hi.res.makespan_ns == rep_hi.res.makespan_ns;
-  auto steady = [&](const StudyRun& l, const StudyRun& h) {
-    return static_cast<double>(h.res.analysis.dep_pairs_tested -
-                               l.res.analysis.dep_pairs_tested) /
+  const exec::ExecutionResult idx_lo = run_one(false, false, lo);
+  const exec::ExecutionResult idx_hi = run_one(false, false, hi);
+  const exec::ExecutionResult rep_lo = run_one(false, true, lo);
+  const exec::ExecutionResult rep_hi = run_one(false, true, hi);
+  same = same && idx_lo.makespan_ns == rep_lo.makespan_ns &&
+         idx_hi.makespan_ns == rep_hi.makespan_ns;
+  auto steady = [&](const exec::ExecutionResult& l,
+                    const exec::ExecutionResult& h) {
+    return static_cast<double>(h.analysis.dep_pairs_tested -
+                               l.analysis.dep_pairs_tested) /
            static_cast<double>(hi - lo);
   };
   const double idx_rate = steady(idx_lo, idx_hi);
   const double rep_rate = steady(rep_lo, rep_hi);
-  auto metric = [](const StudyRun& r, const char* key) {
-    auto it = r.res.metrics.find(key);
-    return it == r.res.metrics.end() ? 0.0 : it->second;
+  auto metric = [&](const char* key) {
+    auto it = rep_hi.metrics.find(key);
+    return it == rep_hi.metrics.end() ? 0.0 : it->second;
   };
   std::printf(
       "replay study [implicit stencil, %u nodes, steps %llu vs %llu]\n"
@@ -176,26 +153,12 @@ bool dependence_study(bench::Bench& bench,
       "  replay counters: captures=%.0f replays=%.0f invalidations=%.0f "
       "pairs_skipped=%.0f\n"
       "  makespans %s\n\n",
-      static_cast<unsigned long long>(hi), idx_hi.host_seconds,
-      rep_hi.host_seconds, metric(rep_hi, "exec.replay.captures"),
-      metric(rep_hi, "exec.replay.replays"),
-      metric(rep_hi, "exec.replay.invalidations"),
-      metric(rep_hi, "exec.replay.pairs_skipped"),
-      same ? "identical" : "DIFFER");
-  for (const auto* r : {&idx_hi, &rep_hi}) {
-    exec::ScalingSeries s;
-    s.name = r == &idx_hi ? "replay-study indexed" : "replay-study replay";
-    exec::ScalingPoint pt;
-    pt.nodes = nodes;
-    pt.seconds = exec::to_seconds(r->res.makespan_ns);
-    pt.work_per_node = kPaperPointsPerNode;
-    pt.iterations = hi;
-    pt.has_analysis = true;
-    pt.analysis = r->res.analysis;
-    pt.analysis.host_seconds = r->host_seconds;
-    s.points.push_back(pt);
-    analysis_report.series.push_back(std::move(s));
-  }
+      static_cast<unsigned long long>(hi), idx_hi.analysis.host_seconds,
+      rep_hi.analysis.host_seconds, metric("exec.replay.captures"),
+      metric("exec.replay.replays"), metric("exec.replay.invalidations"),
+      metric("exec.replay.pairs_skipped"), same ? "identical" : "DIFFER");
+  add_series("replay-study indexed", idx_hi, hi);
+  add_series("replay-study replay", rep_hi, hi);
   if (!same) {
     std::fprintf(stderr,
                  "FAIL: dependence/replay study makespans diverged\n");
@@ -206,25 +169,13 @@ bool dependence_study(bench::Bench& bench,
 // --mapper-matrix: the heterogeneous scenario with the cores
 // oversubscribed (4 tiles per compute core) so placement quality shows
 // up as queueing rather than vanishing behind idle cores.
-int run_matrix(bench::Bench& bench) {
+int run_matrix(const bench::Bench& bench) {
   return bench::run_mapper_matrix(
-      bench, /*nodes=*/8, [&](const bench::MatrixCell& cell) {
-        exec::CostModel cost = exec::CostModel::piz_daint();
-        cost.track_dependences = false;
-        Config cfg = make_config(cell.nodes, /*steps=*/3);
+      bench, /*nodes=*/8,
+      [](rt::Runtime& rt, uint32_t nodes, uint64_t steps) {
+        Config cfg = make_config(nodes, steps);
         cfg.tasks_per_node = 4 * kTilesPerNode;
-        rt::RuntimeConfig rc = exec::runtime_config(cell.nodes, 12, cost,
-                                                    /*real_data=*/false);
-        cell.apply(rc);
-        rt::Runtime rt(rc);
-        apps::stencil::App app = apps::stencil::build(rt, cfg);
-        for (auto& t : app.program.tasks) t.kernel = nullptr;
-        exec::ExecConfig ecfg = bench.config(exec::ExecMode::kSpmd, cost);
-        ecfg.mapper = cell.mapper;
-        ecfg.workers = cell.workers;
-        ecfg.check = true;
-        exec::PreparedRun run = exec::prepare(rt, app.program, ecfg);
-        return run.run();
+        return apps::stencil::build(rt, cfg).program;
       });
 }
 
@@ -243,23 +194,23 @@ double run_mpi(uint32_t nodes, bool openmp) {
 int main(int argc, char** argv) {
   cr::bench::Bench bench("stencil", argc, argv);
   if (bench.options().mapper_matrix) return run_matrix(bench);
-  std::vector<cr::bench::SeriesSpec> specs = {
-      {"Regent (with CR)",
-       [&](uint32_t n) { return run_engine(bench, n, true); }},
-      {"Regent (w/o CR)",
-       [&](uint32_t n) { return run_engine(bench, n, false); }},
-      {"MPI", [](uint32_t n) { return run_mpi(n, false); },
-       cr::bench::is_square_power},
-      {"MPI+OpenMP", [](uint32_t n) { return run_mpi(n, true); },
-       cr::bench::is_square_power},
-  };
-  auto report = bench.sweep(
+  // Master-side per-point-task cost without CR: dynamic dependence +
+  // physical analysis + remote mapping, see EXPERIMENTS.md.
+  std::vector<cr::bench::SeriesSpec> specs = cr::bench::regent_series(
+      bench, {cr::bench::regent_cost(2.0e6), 2, 6, build_app});
+  specs.push_back(cr::bench::reference_series(
+      "MPI", [](uint32_t n) { return run_mpi(n, false); },
+      cr::bench::is_square_power));
+  specs.push_back(cr::bench::reference_series(
+      "MPI+OpenMP", [](uint32_t n) { return run_mpi(n, true); },
+      cr::bench::is_square_power));
+  cr::bench::Sweep sweep = bench.sweep(
       "Figure 6: Stencil weak scaling (40k^2 points/node)",
       "10^6 points/s per node", 1e6, kPaperPointsPerNode, 1.0, specs);
-  std::printf("%s\n", report.to_table().c_str());
-  const bool study_ok = dependence_study(bench, report);
-  bench.write_analysis_json(report);
-  bench.write_metrics_json(report);
-  const int rc = bench.finish();
+  std::printf("%s\n", sweep.report.to_table().c_str());
+  const bool study_ok = dependence_study(bench, sweep.report);
+  bench.write_analysis_json(sweep.report);
+  bench.write_metrics_json(sweep.report);
+  const int rc = bench.finish(sweep.records);
   return rc != 0 ? rc : (study_ok ? 0 : 1);
 }

@@ -42,28 +42,8 @@ Config make_config(uint32_t nodes, uint64_t steps) {
   return cfg;
 }
 
-double run_engine(bench::Bench& bench, uint32_t nodes, bool spmd) {
-  auto total = [&](uint64_t steps) {
-    exec::CostModel cost = exec::CostModel::piz_daint();
-    cost.track_dependences = false;
-    cost.implicit_launch_ns = 150000;
-    cost.task_slow_prob = kNoiseCore.slow_prob;
-    cost.task_slow_frac = kNoiseCore.slow_frac;
-    Config cfg = make_config(nodes, steps);
-    rt::Runtime rt(exec::runtime_config(nodes, 12, cost, false));
-    bench::TraceScope trace(bench, rt, spmd ? "miniaero-cr" : "miniaero-nocr",
-                            nodes);
-    apps::miniaero::App app = apps::miniaero::build(rt, cfg);
-    for (auto& t : app.program.tasks) t.kernel = nullptr;
-    exec::PreparedRun run = exec::prepare(
-        rt, app.program,
-        bench.config(spmd ? exec::ExecMode::kSpmd : exec::ExecMode::kImplicit,
-                     cost));
-    const exec::ExecutionResult res = run.run();
-    bench.record(res);
-    return exec::to_seconds(res.makespan_ns);
-  };
-  return cr::bench::steady_seconds(total, 2, 5);
+ir::Program build_app(rt::Runtime& rt, uint32_t nodes, uint64_t steps) {
+  return apps::miniaero::build(rt, make_config(nodes, steps)).program;
 }
 
 double run_mpi(uint32_t nodes, bool rank_per_node) {
@@ -80,19 +60,18 @@ double run_mpi(uint32_t nodes, bool rank_per_node) {
 
 int main(int argc, char** argv) {
   cr::bench::Bench bench("miniaero", argc, argv);
-  std::vector<cr::bench::SeriesSpec> specs = {
-      {"Regent (with CR)", [&](uint32_t n) { return run_engine(bench, n, true); }},
-      {"Regent (w/o CR)", [&](uint32_t n) { return run_engine(bench, n, false); }},
-      {"MPI+Kokkos rank/core",
-       [](uint32_t n) { return run_mpi(n, false); }},
-      {"MPI+Kokkos rank/node",
-       [](uint32_t n) { return run_mpi(n, true); }},
-  };
-  auto report = bench.sweep(
+  std::vector<cr::bench::SeriesSpec> specs = cr::bench::regent_series(
+      bench, {cr::bench::regent_cost(150000, kNoiseCore), 2, 5, build_app});
+  specs.push_back(cr::bench::reference_series(
+      "MPI+Kokkos rank/core",
+      [](uint32_t n) { return run_mpi(n, false); }));
+  specs.push_back(cr::bench::reference_series(
+      "MPI+Kokkos rank/node", [](uint32_t n) { return run_mpi(n, true); }));
+  const cr::bench::Sweep sweep = bench.sweep(
       "Figure 7: MiniAero weak scaling (512k cells/node)",
       "10^3 cells/s per node", 1e3, kPaperCellsPerNode, 1.0, specs);
-  std::printf("%s\n", report.to_table().c_str());
-  bench.write_analysis_json(report);
-  bench.write_metrics_json(report);
-  return bench.finish();
+  std::printf("%s\n", sweep.report.to_table().c_str());
+  bench.write_analysis_json(sweep.report);
+  bench.write_metrics_json(sweep.report);
+  return bench.finish(sweep.records);
 }

@@ -45,29 +45,8 @@ Config make_config(uint32_t nodes, uint64_t steps) {
   return cfg;
 }
 
-double run_engine(bench::Bench& bench, uint32_t nodes, bool spmd) {
-  auto total = [&](uint64_t steps) {
-    exec::CostModel cost = exec::CostModel::piz_daint();
-    cost.track_dependences = false;
-    cost.implicit_launch_ns = 330000;
-    // The same heavy-tailed noise the baselines see, absorbed by
-    // asynchronous execution instead of amplified by barriers.
-    cost.task_slow_prob = kNoiseMpi.slow_prob;
-    cost.task_slow_frac = kNoiseMpi.slow_frac;
-    Config cfg = make_config(nodes, steps);
-    rt::Runtime rt(exec::runtime_config(nodes, 12, cost, false));
-    bench::TraceScope trace(bench, rt, spmd ? "pennant-cr" : "pennant-nocr", nodes);
-    apps::pennant::App app = apps::pennant::build(rt, cfg);
-    for (auto& t : app.program.tasks) t.kernel = nullptr;
-    exec::PreparedRun run = exec::prepare(
-        rt, app.program,
-        bench.config(spmd ? exec::ExecMode::kSpmd : exec::ExecMode::kImplicit,
-                     cost));
-    const exec::ExecutionResult res = run.run();
-    bench.record(res);
-    return exec::to_seconds(res.makespan_ns);
-  };
-  return cr::bench::steady_seconds(total, 2, 6);
+ir::Program build_app(rt::Runtime& rt, uint32_t nodes, uint64_t steps) {
+  return apps::pennant::build(rt, make_config(nodes, steps)).program;
 }
 
 double run_mpi(uint32_t nodes, bool openmp) {
@@ -84,17 +63,19 @@ double run_mpi(uint32_t nodes, bool openmp) {
 
 int main(int argc, char** argv) {
   cr::bench::Bench bench("pennant", argc, argv);
-  std::vector<cr::bench::SeriesSpec> specs = {
-      {"Regent (with CR)", [&](uint32_t n) { return run_engine(bench, n, true); }},
-      {"Regent (w/o CR)", [&](uint32_t n) { return run_engine(bench, n, false); }},
-      {"MPI", [](uint32_t n) { return run_mpi(n, false); }},
-      {"MPI+OpenMP", [](uint32_t n) { return run_mpi(n, true); }},
-  };
-  auto report = bench.sweep(
+  // The Regent runs see the same heavy-tailed noise as the baselines,
+  // absorbed by asynchronous execution instead of amplified by barriers.
+  std::vector<cr::bench::SeriesSpec> specs = cr::bench::regent_series(
+      bench, {cr::bench::regent_cost(330000, kNoiseMpi), 2, 6, build_app});
+  specs.push_back(cr::bench::reference_series(
+      "MPI", [](uint32_t n) { return run_mpi(n, false); }));
+  specs.push_back(cr::bench::reference_series(
+      "MPI+OpenMP", [](uint32_t n) { return run_mpi(n, true); }));
+  const cr::bench::Sweep sweep = bench.sweep(
       "Figure 8: PENNANT weak scaling (7.4M zones/node)",
       "10^6 zones/s per node", 1e6, kPaperZonesPerNode, 1.0, specs);
-  std::printf("%s\n", report.to_table().c_str());
-  bench.write_analysis_json(report);
-  bench.write_metrics_json(report);
-  return bench.finish();
+  std::printf("%s\n", sweep.report.to_table().c_str());
+  bench.write_analysis_json(sweep.report);
+  bench.write_metrics_json(sweep.report);
+  return bench.finish(sweep.records);
 }

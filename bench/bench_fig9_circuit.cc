@@ -36,48 +36,19 @@ Config make_config(uint32_t nodes, uint64_t steps) {
   return cfg;
 }
 
-double run_engine(bench::Bench& bench, uint32_t nodes, bool spmd) {
-  auto total = [&](uint64_t steps) {
-    exec::CostModel cost = exec::CostModel::piz_daint();
-    cost.track_dependences = false;
-    cost.implicit_launch_ns = 300000;
-    Config cfg = make_config(nodes, steps);
-    rt::Runtime rt(exec::runtime_config(nodes, 12, cost, false));
-    bench::TraceScope trace(bench, rt, spmd ? "circuit-cr" : "circuit-nocr", nodes);
-    apps::circuit::App app = apps::circuit::build(rt, cfg);
-    for (auto& t : app.program.tasks) t.kernel = nullptr;
-    exec::PreparedRun run = exec::prepare(
-        rt, app.program,
-        bench.config(spmd ? exec::ExecMode::kSpmd : exec::ExecMode::kImplicit,
-                     cost));
-    const exec::ExecutionResult res = run.run();
-    bench.record(res);
-    return exec::to_seconds(res.makespan_ns);
-  };
-  return cr::bench::steady_seconds(total, 2, 5);
+ir::Program build_app(rt::Runtime& rt, uint32_t nodes, uint64_t steps) {
+  return apps::circuit::build(rt, make_config(nodes, steps)).program;
 }
 
 // --mapper-matrix: the heterogeneous scenario with the cores
 // oversubscribed (3 pieces per compute core).
-int run_matrix(bench::Bench& bench) {
+int run_matrix(const bench::Bench& bench) {
   return bench::run_mapper_matrix(
-      bench, /*nodes=*/8, [&](const bench::MatrixCell& cell) {
-        exec::CostModel cost = exec::CostModel::piz_daint();
-        cost.track_dependences = false;
-        Config cfg = make_config(cell.nodes, /*steps=*/3);
+      bench, /*nodes=*/8,
+      [](rt::Runtime& rt, uint32_t nodes, uint64_t steps) {
+        Config cfg = make_config(nodes, steps);
         cfg.pieces_per_node = 33;
-        rt::RuntimeConfig rc = exec::runtime_config(cell.nodes, 12, cost,
-                                                    /*real_data=*/false);
-        cell.apply(rc);
-        rt::Runtime rt(rc);
-        apps::circuit::App app = apps::circuit::build(rt, cfg);
-        for (auto& t : app.program.tasks) t.kernel = nullptr;
-        exec::ExecConfig ecfg = bench.config(exec::ExecMode::kSpmd, cost);
-        ecfg.mapper = cell.mapper;
-        ecfg.workers = cell.workers;
-        ecfg.check = true;
-        exec::PreparedRun run = exec::prepare(rt, app.program, ecfg);
-        return run.run();
+        return apps::circuit::build(rt, cfg).program;
       });
 }
 
@@ -86,15 +57,13 @@ int run_matrix(bench::Bench& bench) {
 int main(int argc, char** argv) {
   cr::bench::Bench bench("circuit", argc, argv);
   if (bench.options().mapper_matrix) return run_matrix(bench);
-  std::vector<cr::bench::SeriesSpec> specs = {
-      {"Regent (with CR)", [&](uint32_t n) { return run_engine(bench, n, true); }},
-      {"Regent (w/o CR)", [&](uint32_t n) { return run_engine(bench, n, false); }},
-  };
-  auto report = bench.sweep(
+  const std::vector<cr::bench::SeriesSpec> specs = cr::bench::regent_series(
+      bench, {cr::bench::regent_cost(300000), 2, 5, build_app});
+  const cr::bench::Sweep sweep = bench.sweep(
       "Figure 9: Circuit weak scaling (100k edges + 25k vertices/node)",
       "10^3 nodes/s per node", 1e3, kPaperNodesPerMachineNode, 1.0, specs);
-  std::printf("%s\n", report.to_table().c_str());
-  bench.write_analysis_json(report);
-  bench.write_metrics_json(report);
-  return bench.finish();
+  std::printf("%s\n", sweep.report.to_table().c_str());
+  bench.write_analysis_json(sweep.report);
+  bench.write_metrics_json(sweep.report);
+  return bench.finish(sweep.records);
 }

@@ -3,19 +3,24 @@
 // reference models, reported in the paper's throughput-per-node form.
 //
 // Command lines are described declaratively with a FlagSet (usage text
-// is generated from the registrations); per-process state lives in a
-// Bench object the main function owns — there are no mutable globals.
+// is generated from the registrations). A Bench object holds only the
+// parsed options; every sweep point returns a self-contained
+// PointRecord, and the report, the artifacts and the exit code are
+// built from those records — no run leaves state behind for the next.
 #pragma once
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "apps/common/bsp.h"
 #include "exec/implicit_exec.h"
 #include "exec/report.h"
 #include "rt/runtime.h"
@@ -265,38 +270,123 @@ struct BenchOptions {
   }
 };
 
-// Category fractions of the most recent traced run, for sweep() to fold
-// into the scaling report.
-struct LastBreakdown {
-  bool valid = false;
-  double compute = 0, copy = 0, sync = 0, idle = 0;
+// --- sweep node counts ------------------------------------------------
+
+// Largest accepted CR_BENCH_MAX_NODES: the sweep doubles a uint32_t node
+// count while it stays at or below the cap, so a cap of 2^31 or more
+// would wrap that count to 0 and never end.
+constexpr uint32_t kMaxNodesCap = 0x7fffffffu;
+
+// Parses a CR_BENCH_MAX_NODES value: a whole decimal number from 1 to
+// kMaxNodesCap, nothing else (no sign, blanks or suffix).
+inline std::optional<uint32_t> parse_max_nodes(const char* text) {
+  if (text == nullptr || *text < '0' || *text > '9') return std::nullopt;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(text, &end, 10);
+  if (*end != '\0' || errno == ERANGE || v == 0 || v > kMaxNodesCap) {
+    return std::nullopt;
+  }
+  return static_cast<uint32_t>(v);
+}
+
+// Node counts of the paper's weak-scaling plots, capped by the
+// CR_BENCH_MAX_NODES environment variable (default 1024). A value
+// parse_max_nodes rejects is a usage error (exit 2).
+inline std::vector<uint32_t> node_counts() {
+  uint32_t max_nodes = 1024;
+  if (const char* env = std::getenv("CR_BENCH_MAX_NODES")) {
+    const std::optional<uint32_t> parsed = parse_max_nodes(env);
+    if (!parsed) {
+      std::fprintf(stderr,
+                   "CR_BENCH_MAX_NODES='%s': expected a whole number from "
+                   "1 to %u\n",
+                   env, kMaxNodesCap);
+      std::exit(2);
+    }
+    max_nodes = *parsed;
+  }
+  std::vector<uint32_t> out;
+  for (uint32_t n = 1; n <= max_nodes; n *= 2) out.push_back(n);
+  return out;
+}
+
+// --- what runs report -------------------------------------------------
+
+// Everything one sweep point produced: sweep() builds the point's
+// exec::ScalingPoint from this record alone, and finish() reads the
+// checker verdicts and host profiles of every record's runs. A
+// reference model fills only `seconds`. An engine point runs its app
+// twice, at a lo and a hi step count (steady-state differencing), and
+// follows the hi-run rule: it reports the hi run (`runs.back()`, and
+// `trace`), `seconds` is the per-step difference of the two runs, and
+// both runs count for --check, so a race in either one fails the bench.
+struct PointRecord {
+  double seconds = 0;
+  std::vector<exec::ExecutionResult> runs;  // in run order
+  std::optional<support::TraceSummary> trace;  // the hi run's (--trace)
 };
 
-// Analysis counters of the most recent engine run.
-struct LastAnalysis {
-  bool valid = false;
-  exec::AnalysisStats stats;
+// Appends `rec` to `records`, keeping one host profile in all: finish()
+// writes only the last one, and a windowed run's profile can take tens
+// of megabytes, so every earlier profile is released.
+inline void append_record(std::vector<PointRecord>& records,
+                          PointRecord rec) {
+  records.push_back(std::move(rec));
+  std::shared_ptr<support::HostProfile>* last = nullptr;
+  for (PointRecord& r : records) {
+    for (exec::ExecutionResult& run : r.runs) {
+      if (run.host_profile == nullptr) continue;
+      if (last != nullptr) last->reset();
+      last = &run.host_profile;
+    }
+  }
+}
+
+struct SeriesSpec {
+  std::string name;
+  // Runs one configuration point and returns its record.
+  std::function<PointRecord(uint32_t nodes)> run;
+  // Restrict to node counts where the reference can run (the paper's
+  // MPI stencil references require square grids: even powers of two).
+  std::function<bool(uint32_t)> applicable = [](uint32_t) { return true; };
 };
 
-// Registry snapshot of the most recent engine run (--metrics).
-struct LastMetrics {
-  bool valid = false;
-  double makespan_ns = 0;
-  std::map<std::string, double> values;
+// A reference-model series: `seconds(nodes)` is all a point records.
+inline SeriesSpec reference_series(
+    std::string name, std::function<double(uint32_t)> seconds,
+    std::function<bool(uint32_t)> applicable = [](uint32_t) {
+      return true;
+    }) {
+  return {std::move(name),
+          [seconds = std::move(seconds)](uint32_t n) {
+            PointRecord rec;
+            rec.seconds = seconds(n);
+            return rec;
+          },
+          std::move(applicable)};
+}
+
+// A sweep: the reported figure, and the records it was built from, one
+// per point in sweep order (finish() takes `records`).
+struct Sweep {
+  exec::ScalingReport report;
+  std::vector<PointRecord> records;
 };
 
 // --- the per-process bench driver -------------------------------------
 
-// Owns the parsed options and the run-to-run state (trace breakdowns,
-// analysis counters, checker tallies) that used to live in mutable
-// singletons. Construct one in main() and thread it by reference.
+// Holds the parsed options and nothing else: results travel in the
+// records that runs return. Construct one in main() and pass it by
+// reference.
 class Bench {
  public:
   // `app` scopes the default artifact filenames (trace.<app>.json,
   // BENCH_analysis.<app>.json, BENCH_metrics.<app>.json).
   Bench(std::string app, int argc, char** argv) : app_(std::move(app)) {
-    options_.register_flags(flags_, app_);
-    if (!flags_.parse(argc, argv)) std::exit(2);
+    FlagSet flags;
+    options_.register_flags(flags, app_);
+    if (!flags.parse(argc, argv)) std::exit(2);
   }
 
   const BenchOptions& options() const { return options_; }
@@ -329,49 +419,14 @@ class Bench {
     return cfg;
   }
 
-  // Call after Engine::run() inside a bench's run function: records the
-  // run's dynamic-analysis counters for sweep() (with repeated runs of
-  // one configuration — steady-state differencing — the last, largest
-  // run wins) and tallies the checker result.
-  void record(const exec::ExecutionResult& r) {
-    if (options_.selftime) {
-      last_analysis_.valid = true;
-      last_analysis_.stats = r.analysis;
-    }
-    if (r.host_profile != nullptr && !options_.host_trace_path.empty()) {
-      // With repeated runs of one configuration the last (largest)
-      // windowed run wins, matching the trace/metrics artifact policy.
-      r.host_profile->write_chrome_json(options_.host_trace_path);
-      r.host_profile->write_json(options_.host_report_path, app_);
-      std::fprintf(stderr,
-                   "  host phases: %s (serial fraction %.3f over %llu "
-                   "windows), trace: %s\n",
-                   options_.host_report_path.c_str(),
-                   r.host_profile->serial_fraction,
-                   (unsigned long long)r.host_profile->windows,
-                   options_.host_trace_path.c_str());
-    }
-    if (!options_.metrics_path.empty()) {
-      last_metrics_.valid = true;
-      last_metrics_.makespan_ns = static_cast<double>(r.makespan_ns);
-      last_metrics_.values = r.metrics;
-    }
-    if (r.check != nullptr) {
-      ++checked_runs_;
-      check_accesses_ += r.check->stats.accesses;
-      check_pairs_ += r.check->stats.pairs_checked;
-      check_races_ += r.check->stats.races;
-      if (!r.check->ok() && ++raced_runs_ <= 3) {
-        std::fprintf(stderr, "%s", r.check->to_text().c_str());
-      }
-    }
-  }
-
-  // Weak-scaling sweep over node_counts() for each series.
-  exec::ScalingReport sweep(const std::string& title,
-                            const std::string& unit, double unit_scale,
-                            double work_per_node, double iterations,
-                            const std::vector<struct SeriesSpec>& specs);
+  // Weak-scaling sweep over node_counts() for each series: runs every
+  // applicable point, keeps its record, and builds the report's point
+  // from that record (analysis counters with --selftime, the metrics
+  // snapshot with --metrics, the breakdown and attribution with
+  // --trace).
+  Sweep sweep(const std::string& title, const std::string& unit,
+              double unit_scale, double work_per_node, double iterations,
+              const std::vector<SeriesSpec>& specs) const;
 
   // Write the --selftime artifact: one JSON object per recorded point
   // with the analysis counters and host wall-clock. No-op unless
@@ -385,178 +440,118 @@ class Bench {
   // --metrics.
   void write_metrics_json(const exec::ScalingReport& report) const;
 
-  // Prints the checker tally and returns the process exit code: with
-  // --check, nonzero when a race was found; with --check-mutate,
-  // nonzero when the mutant was NOT detected.
-  int finish() const {
-    if (!options_.check) return 0;
-    const bool mutating = options_.check_mutate >= 0;
-    const bool detected = check_races_ > 0;
-    std::fprintf(stderr,
-                 "[check] %llu runs, %llu accesses, %llu pairs, %llu "
-                 "races%s\n",
-                 (unsigned long long)checked_runs_,
-                 (unsigned long long)check_accesses_,
-                 (unsigned long long)check_pairs_,
-                 (unsigned long long)check_races_,
-                 mutating ? (detected ? " — mutant detected"
-                                      : " — mutant NOT detected")
-                          : (detected ? " — RACES" : " — ok"));
-    return mutating ? (detected ? 0 : 1) : (detected ? 1 : 0);
-  }
+  // Over every run of `records`, in order: writes the --host-trace
+  // artifacts from the last run that carries a host profile, prints the
+  // checker tally (and the reports of the first raced runs) and returns
+  // the process exit code: with --check, nonzero when a race was found;
+  // with --check-mutate, nonzero when the mutant was NOT detected.
+  int finish(const std::vector<PointRecord>& records) const;
 
  private:
-  friend class TraceScope;
-
   std::string app_;
-  FlagSet flags_;
   BenchOptions options_;
-  LastBreakdown last_breakdown_;
-  LastAnalysis last_analysis_;
-  LastMetrics last_metrics_;
-  std::vector<support::TraceAttributionRow> last_attribution_;
-  uint64_t checked_runs_ = 0;
-  uint64_t check_accesses_ = 0;
-  uint64_t check_pairs_ = 0;
-  uint64_t check_races_ = 0;
-  uint64_t raced_runs_ = 0;
 };
 
-// RAII tracing for one engine run: attaches a Tracer to the runtime's
-// simulator when --trace is set, and on destruction (after the run,
-// while the runtime is still alive) writes the Chrome trace JSON plus a
-// text summary and prints the breakdown to stderr. Artifacts are named
-// <trace_path minus .json>.<label>.<nodes>n.{json,txt}; with repeated
-// runs of one configuration (steady-state differencing) the last run
-// wins.
-class TraceScope {
- public:
-  TraceScope(Bench& bench, rt::Runtime& rt, std::string label,
-             uint32_t nodes)
-      : bench_(&bench), rt_(&rt), label_(std::move(label)), nodes_(nodes) {
-    if (bench.options().trace_path.empty()) return;
-    if (rt.sim().tracer() != nullptr) return;  // someone else is tracing
-    tracer_ = std::make_unique<support::Tracer>();
-    rt.sim().set_tracer(tracer_.get());
-  }
-  TraceScope(const TraceScope&) = delete;
-  TraceScope& operator=(const TraceScope&) = delete;
-
-  ~TraceScope() {
-    if (tracer_ == nullptr) return;
-    rt_->sim().set_tracer(nullptr);
-    const support::TraceSummary sum = tracer_->summarize(rt_->sim().now());
-
-    std::string stem = bench_->options().trace_path;
-    const std::string suffix = ".json";
-    if (stem.size() > suffix.size() &&
-        stem.compare(stem.size() - suffix.size(), suffix.size(), suffix) ==
-            0) {
-      stem.resize(stem.size() - suffix.size());
-    }
-    const std::string base =
-        stem + "." + label_ + "." + std::to_string(nodes_) + "n";
-    tracer_->write_chrome_json(base + ".json");
-    const std::string text = sum.to_text();
-    if (FILE* f = std::fopen((base + ".txt").c_str(), "w")) {
-      std::fputs(text.c_str(), f);
-      std::fclose(f);
-    }
-    std::fprintf(stderr, "  [%s, %u nodes]\n%s  trace: %s.json\n",
-                 label_.c_str(), nodes_, text.c_str(), base.c_str());
-
-    LastBreakdown& lb = bench_->last_breakdown_;
-    lb.valid = true;
-    lb.compute = sum.breakdown.compute_frac();
-    lb.copy = sum.breakdown.copy_frac();
-    lb.sync = sum.breakdown.sync_frac();
-    lb.idle = sum.breakdown.idle_frac();
-    bench_->last_attribution_ = sum.attribution;
-  }
-
- private:
-  Bench* bench_;
-  rt::Runtime* rt_;
-  std::string label_;
-  uint32_t nodes_;
-  std::unique_ptr<support::Tracer> tracer_;
-};
-
-// Node counts of the paper's weak-scaling plots, capped by the
-// CR_BENCH_MAX_NODES environment variable (default 1024).
-inline std::vector<uint32_t> node_counts() {
-  uint32_t max_nodes = 1024;
-  if (const char* env = std::getenv("CR_BENCH_MAX_NODES")) {
-    max_nodes = static_cast<uint32_t>(std::atoi(env));
-  }
-  std::vector<uint32_t> out;
-  for (uint32_t n = 1; n <= max_nodes; n *= 2) out.push_back(n);
-  return out;
-}
-
-// One configuration point: run and return the virtual seconds of the
-// measured window.
-using RunFn = std::function<double(uint32_t nodes)>;
-
-struct SeriesSpec {
-  std::string name;
-  RunFn run;
-  // Restrict to node counts where the reference can run (the paper's
-  // MPI stencil references require square grids: even powers of two).
-  std::function<bool(uint32_t)> applicable = [](uint32_t) { return true; };
-};
-
-inline exec::ScalingReport Bench::sweep(
-    const std::string& title, const std::string& unit, double unit_scale,
-    double work_per_node, double iterations,
-    const std::vector<SeriesSpec>& specs) {
-  exec::ScalingReport report;
-  report.title = title;
-  report.unit = unit;
-  report.unit_scale = unit_scale;
+inline Sweep Bench::sweep(const std::string& title, const std::string& unit,
+                          double unit_scale, double work_per_node,
+                          double iterations,
+                          const std::vector<SeriesSpec>& specs) const {
+  Sweep out;
+  out.report.title = title;
+  out.report.unit = unit;
+  out.report.unit_scale = unit_scale;
   for (const SeriesSpec& spec : specs) {
     exec::ScalingSeries series;
     series.name = spec.name;
     for (uint32_t n : node_counts()) {
       if (!spec.applicable(n)) continue;
       std::fprintf(stderr, "  [%s] %u nodes...\n", spec.name.c_str(), n);
-      exec::ScalingPoint pt;
-      pt.nodes = n;
-      last_breakdown_.valid = false;
-      last_analysis_.valid = false;
-      last_metrics_.valid = false;
-      last_attribution_.clear();
       const auto host_begin = std::chrono::steady_clock::now();
-      pt.seconds = spec.run(n);
+      PointRecord rec = spec.run(n);
       const double host_seconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         host_begin)
               .count();
-      if (options_.selftime && last_analysis_.valid) {
-        pt.has_analysis = true;
-        pt.analysis = last_analysis_.stats;
-        pt.analysis.host_seconds = host_seconds;
-      }
-      if (last_breakdown_.valid) {
-        pt.has_breakdown = true;
-        pt.compute_frac = last_breakdown_.compute;
-        pt.copy_frac = last_breakdown_.copy;
-        pt.sync_frac = last_breakdown_.sync;
-        pt.idle_frac = last_breakdown_.idle;
-      }
-      if (last_metrics_.valid) {
-        pt.has_metrics = true;
-        pt.makespan_ns = last_metrics_.makespan_ns;
-        pt.metrics = last_metrics_.values;
-      }
-      pt.attribution = last_attribution_;
+      exec::ScalingPoint pt;
+      pt.nodes = n;
+      pt.seconds = rec.seconds;
       pt.work_per_node = work_per_node;
       pt.iterations = iterations;
-      series.points.push_back(pt);
+      const exec::ExecutionResult* hi =
+          rec.runs.empty() ? nullptr : &rec.runs.back();
+      if (hi != nullptr && options_.selftime) {
+        pt.has_analysis = true;
+        pt.analysis = hi->analysis;
+        pt.analysis.host_seconds = host_seconds;
+      }
+      if (hi != nullptr && !options_.metrics_path.empty()) {
+        pt.has_metrics = true;
+        pt.makespan_ns = static_cast<double>(hi->makespan_ns);
+        pt.metrics = hi->metrics;
+      }
+      if (rec.trace) {
+        const support::TraceBreakdown& b = rec.trace->breakdown;
+        pt.has_breakdown = true;
+        pt.compute_frac = b.compute_frac();
+        pt.copy_frac = b.copy_frac();
+        pt.sync_frac = b.sync_frac();
+        pt.idle_frac = b.idle_frac();
+        pt.attribution = rec.trace->attribution;
+      }
+      series.points.push_back(std::move(pt));
+      append_record(out.records, std::move(rec));
     }
-    report.series.push_back(std::move(series));
+    out.report.series.push_back(std::move(series));
   }
-  return report;
+  return out;
+}
+
+inline int Bench::finish(const std::vector<PointRecord>& records) const {
+  constexpr size_t kShownRaces = 3;
+  const support::HostProfile* hp = nullptr;
+  uint64_t checked_runs = 0;
+  check::CheckStats sum;
+  std::vector<const check::CheckResult*> shown;
+  for (const PointRecord& rec : records) {
+    for (const exec::ExecutionResult& r : rec.runs) {
+      if (r.host_profile != nullptr) hp = r.host_profile.get();
+      if (r.check == nullptr) continue;
+      ++checked_runs;
+      sum.accesses += r.check->stats.accesses;
+      sum.pairs_checked += r.check->stats.pairs_checked;
+      sum.races += r.check->stats.races;
+      if (!r.check->ok() && shown.size() < kShownRaces) {
+        shown.push_back(r.check.get());
+      }
+    }
+  }
+  if (hp != nullptr && !options_.host_trace_path.empty()) {
+    hp->write_chrome_json(options_.host_trace_path);
+    hp->write_json(options_.host_report_path, app_);
+    std::fprintf(stderr,
+                 "  host phases: %s (serial fraction %.3f over %llu "
+                 "windows), trace: %s\n",
+                 options_.host_report_path.c_str(), hp->serial_fraction,
+                 (unsigned long long)hp->windows,
+                 options_.host_trace_path.c_str());
+  }
+  if (!options_.check) return 0;
+  for (const check::CheckResult* r : shown) {
+    std::fprintf(stderr, "%s\n", r->to_text().c_str());
+  }
+  const bool mutating = options_.check_mutate >= 0;
+  const bool detected = sum.races > 0;
+  std::fprintf(stderr,
+               "[check] %llu runs, %llu accesses, %llu pairs, %llu "
+               "races%s\n",
+               (unsigned long long)checked_runs,
+               (unsigned long long)sum.accesses,
+               (unsigned long long)sum.pairs_checked,
+               (unsigned long long)sum.races,
+               mutating ? (detected ? " — mutant detected"
+                                    : " — mutant NOT detected")
+                        : (detected ? " — RACES" : " — ok"));
+  return mutating ? (detected ? 0 : 1) : (detected ? 1 : 0);
 }
 
 inline void Bench::write_analysis_json(
@@ -604,6 +599,34 @@ inline void write_json_number(FILE* f, double v) {
   }
 }
 
+// One point of a metrics artifact: nodes, virtual seconds, makespan,
+// registry snapshot and attribution rows (bench_diff's input).
+inline void write_point_json(FILE* f, const exec::ScalingPoint& p) {
+  std::fprintf(f, "{\"nodes\": %u, \"virtual_seconds\": %.9g, "
+                  "\"makespan_ns\": ",
+               p.nodes, p.seconds);
+  write_json_number(f, p.makespan_ns);
+  std::fprintf(f, ",\n       \"metrics\": {");
+  bool first_m = true;
+  for (const auto& [key, value] : p.metrics) {
+    std::fprintf(f, "%s\"%s\": ", first_m ? "" : ", ", key.c_str());
+    write_json_number(f, value);
+    first_m = false;
+  }
+  std::fprintf(f, "},\n       \"attribution\": [");
+  for (size_t ai = 0; ai < p.attribution.size(); ++ai) {
+    const support::TraceAttributionRow& r = p.attribution[ai];
+    std::fprintf(f, "%s{\"source\": %u, \"label\": \"%s\", \"copy_ns\": ",
+                 ai == 0 ? "" : ", ", r.source, r.label.c_str());
+    write_json_number(f, r.copy_ns);
+    std::fprintf(f, ", \"sync_ns\": ");
+    write_json_number(f, r.sync_ns);
+    std::fprintf(f, ", \"spans\": %llu}",
+                 static_cast<unsigned long long>(r.spans));
+  }
+  std::fprintf(f, "]}");
+}
+
 }  // namespace detail
 
 inline void Bench::write_metrics_json(
@@ -621,30 +644,8 @@ inline void Bench::write_metrics_json(
     bool first_pt = true;
     for (const exec::ScalingPoint& p : s.points) {
       if (!p.has_metrics) continue;
-      std::fprintf(f, "%s      {\"nodes\": %u, \"virtual_seconds\": %.9g, "
-                      "\"makespan_ns\": ",
-                   first_pt ? "" : ",\n", p.nodes, p.seconds);
-      detail::write_json_number(f, p.makespan_ns);
-      std::fprintf(f, ",\n       \"metrics\": {");
-      bool first_m = true;
-      for (const auto& [key, value] : p.metrics) {
-        std::fprintf(f, "%s\"%s\": ", first_m ? "" : ", ", key.c_str());
-        detail::write_json_number(f, value);
-        first_m = false;
-      }
-      std::fprintf(f, "},\n       \"attribution\": [");
-      for (size_t ai = 0; ai < p.attribution.size(); ++ai) {
-        const support::TraceAttributionRow& r = p.attribution[ai];
-        std::fprintf(f,
-                     "%s{\"source\": %u, \"label\": \"%s\", \"copy_ns\": ",
-                     ai == 0 ? "" : ", ", r.source, r.label.c_str());
-        detail::write_json_number(f, r.copy_ns);
-        std::fprintf(f, ", \"sync_ns\": ");
-        detail::write_json_number(f, r.sync_ns);
-        std::fprintf(f, ", \"spans\": %llu}",
-                     static_cast<unsigned long long>(r.spans));
-      }
-      std::fprintf(f, "]}");
+      std::fprintf(f, "%s      ", first_pt ? "" : ",\n");
+      detail::write_point_json(f, p);
       first_pt = false;
     }
     std::fprintf(f, "\n    ]}%s\n", si + 1 < report.series.size() ? "," : "");
@@ -655,14 +656,21 @@ inline void Bench::write_metrics_json(
                options_.metrics_path.c_str());
 }
 
-// Measure the steady-state per-iteration time of an engine execution by
-// differencing two runs with different step counts (initialization,
-// intersections and final copies cancel out).
+// Per-step virtual seconds from the totals of two runs that differ only
+// in their step counts (initialization, intersections and final copies
+// cancel out).
+inline double per_step(double t_lo, double t_hi, uint64_t steps_lo,
+                       uint64_t steps_hi) {
+  return (t_hi - t_lo) / static_cast<double>(steps_hi - steps_lo);
+}
+
+// Measure the steady-state per-iteration time of an execution by
+// differencing two runs with different step counts.
 inline double steady_seconds(const std::function<double(uint64_t)>& total,
                              uint64_t steps_lo, uint64_t steps_hi) {
   const double t_lo = total(steps_lo);
   const double t_hi = total(steps_hi);
-  return (t_hi - t_lo) / static_cast<double>(steps_hi - steps_lo);
+  return per_step(t_lo, t_hi, steps_lo, steps_hi);
 }
 
 inline bool is_square_power(uint32_t n) {
@@ -674,6 +682,115 @@ inline bool is_square_power(uint32_t n) {
     ++bits;
   }
   return (1u << bits) == n && bits % 2 == 0;
+}
+
+// --- engine runs of the figures' Regent series ------------------------
+
+// Builds an app's program on `rt` for `nodes` machine nodes and `steps`
+// time steps.
+using BuildFn =
+    std::function<ir::Program(rt::Runtime& rt, uint32_t nodes, uint64_t steps)>;
+
+// The figures' engine cost model: Piz Daint without the dependence
+// tracker (the implicit master's per-launch analysis is charged as the
+// app's calibrated implicit_launch_ns instead) plus the app's task
+// noise.
+inline exec::CostModel regent_cost(double implicit_launch_ns,
+                                   apps::Noise noise = {}) {
+  exec::CostModel cost = exec::CostModel::piz_daint();
+  cost.track_dependences = false;
+  cost.implicit_launch_ns = implicit_launch_ns;
+  cost.task_slow_prob = noise.slow_prob;
+  cost.task_slow_frac = noise.slow_frac;
+  return cost;
+}
+
+// Runs `program` on `rt` with its kernels stripped (the benches time
+// the simulated machine, not host kernels); `report`, if given, gets
+// the pipeline's report.
+inline exec::ExecutionResult run_timing(
+    rt::Runtime& rt, ir::Program program, const exec::ExecConfig& cfg,
+    passes::PipelineReport* report = nullptr) {
+  for (auto& t : program.tasks) t.kernel = nullptr;
+  exec::PreparedRun run = exec::prepare(rt, std::move(program), cfg);
+  if (report != nullptr) *report = run.report;
+  return run.run();
+}
+
+// Writes a finished run's --trace artifacts,
+// <trace_path minus .json>.<label>.<nodes>n.{json,txt} (Chrome trace JSON
+// and text summary), prints the breakdown to stderr and returns the
+// summary for the run's record. An engine point's two runs share these
+// names, so the files end up holding the hi run's trace.
+inline support::TraceSummary write_trace(const support::Tracer& tracer,
+                                         sim::Time now,
+                                         std::string trace_path,
+                                         const std::string& label,
+                                         uint32_t nodes) {
+  const support::TraceSummary sum = tracer.summarize(now);
+  if (trace_path.size() > 5 && trace_path.ends_with(".json")) {
+    trace_path.resize(trace_path.size() - 5);
+  }
+  const std::string base =
+      trace_path + "." + label + "." + std::to_string(nodes) + "n";
+  tracer.write_chrome_json(base + ".json");
+  const std::string text = sum.to_text();
+  if (FILE* f = std::fopen((base + ".txt").c_str(), "w")) {
+    std::fputs(text.c_str(), f);
+    std::fclose(f);
+  }
+  std::fprintf(stderr, "  [%s, %u nodes]\n%s  trace: %s.json\n",
+               label.c_str(), nodes, text.c_str(), base.c_str());
+  return sum;
+}
+
+// How a figure runs its app on the engine.
+struct EngineApp {
+  exec::CostModel cost;
+  uint64_t steps_lo = 0;  // the two step counts steady-state
+  uint64_t steps_hi = 0;  // differencing compares
+  BuildFn build;
+};
+
+// One engine point: the app at steps_lo and then at steps_hi, with CR
+// (`spmd`) or without, on 12-core nodes; returns the point's record
+// under the hi-run rule (PointRecord). Traces are labelled
+// <app>-cr / <app>-nocr.
+inline PointRecord run_engine(const Bench& bench, const EngineApp& app,
+                              uint32_t nodes, bool spmd) {
+  const exec::ExecConfig cfg = bench.config(
+      spmd ? exec::ExecMode::kSpmd : exec::ExecMode::kImplicit, app.cost);
+  const std::string label = bench.app() + (spmd ? "-cr" : "-nocr");
+  const std::string& trace_path = bench.options().trace_path;
+  PointRecord rec;
+  auto run_once = [&](uint64_t steps) {
+    rt::Runtime rt(exec::runtime_config(nodes, 12, app.cost, false));
+    std::optional<support::Tracer> tracer;
+    if (!trace_path.empty()) rt.sim().set_tracer(&tracer.emplace());
+    rec.runs.push_back(run_timing(rt, app.build(rt, nodes, steps), cfg));
+    if (tracer) {
+      rt.sim().set_tracer(nullptr);
+      rec.trace =
+          write_trace(*tracer, rt.sim().now(), trace_path, label, nodes);
+    }
+  };
+  run_once(app.steps_lo);
+  run_once(app.steps_hi);
+  rec.seconds = per_step(exec::to_seconds(rec.runs[0].makespan_ns),
+                         exec::to_seconds(rec.runs[1].makespan_ns),
+                         app.steps_lo, app.steps_hi);
+  return rec;
+}
+
+// A figure's two Regent series, with and without CR.
+inline std::vector<SeriesSpec> regent_series(const Bench& bench,
+                                             const EngineApp& app) {
+  return {
+      {"Regent (with CR)",
+       [&bench, app](uint32_t n) { return run_engine(bench, app, n, true); }},
+      {"Regent (w/o CR)",
+       [&bench, app](uint32_t n) { return run_engine(bench, app, n, false); }},
+  };
 }
 
 }  // namespace cr::bench

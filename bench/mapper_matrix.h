@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdio>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -43,12 +42,6 @@ struct MatrixCell {
   }
 };
 
-// Runs the app once for a cell (with the race checker on) and returns
-// the full result; the harness compares worker counts and writes the
-// artifact.
-using MatrixRunFn =
-    std::function<exec::ExecutionResult(const MatrixCell& cell)>;
-
 namespace detail {
 
 // Window-shaped gauges recorded only by the windowed backend (the
@@ -75,18 +68,14 @@ inline void write_matrix_json(const std::string& path,
                "  \"series\": [\n    {\"name\": \"mapper-matrix\", "
                "\"points\": [\n",
                app.c_str(), mapper.c_str());
-  std::fprintf(f, "      {\"nodes\": %u, \"virtual_seconds\": %.9g, "
-                  "\"makespan_ns\": ",
-               nodes, exec::to_seconds(res.makespan_ns));
-  write_json_number(f, static_cast<double>(res.makespan_ns));
-  std::fprintf(f, ",\n       \"metrics\": {");
-  bool first = true;
-  for (const auto& [key, value] : res.metrics) {
-    std::fprintf(f, "%s\"%s\": ", first ? "" : ", ", key.c_str());
-    write_json_number(f, value);
-    first = false;
-  }
-  std::fprintf(f, "},\n       \"attribution\": []}\n    ]}\n  ]\n}\n");
+  exec::ScalingPoint pt;
+  pt.nodes = nodes;
+  pt.seconds = exec::to_seconds(res.makespan_ns);
+  pt.makespan_ns = static_cast<double>(res.makespan_ns);
+  pt.metrics = res.metrics;
+  std::fprintf(f, "      ");
+  write_point_json(f, pt);
+  std::fprintf(f, "\n    ]}\n  ]\n}\n");
   std::fclose(f);
   std::fprintf(stderr, "  matrix cell: %s\n", path.c_str());
 }
@@ -109,14 +98,29 @@ inline MatrixCell matrix_scenario(uint32_t nodes) {
   return cell;
 }
 
-// Runs the (mapper x scenario) matrix: every cell executes under the
-// sequential reference loop AND the windowed backend (4 workers) and
-// must agree bit-for-bit on the makespan and the window-shape-stripped
-// metrics; the race checker must come back clean. Writes
-// BENCH_mapper.<app>.<policy>.json per cell and hard-fails (nonzero)
-// if the balanced policy does not beat the adversarial one on makespan.
-inline int run_mapper_matrix(Bench& bench, uint32_t nodes,
-                             const MatrixRunFn& run) {
+// Runs the (mapper x scenario) matrix on the app `build` makes at 3
+// steps, in CR mode with the race checker on: every cell executes under
+// the sequential reference loop AND the windowed backend (4 workers)
+// and must agree bit-for-bit on the makespan and the
+// window-shape-stripped metrics; the race checker must come back clean.
+// Writes BENCH_mapper.<app>.<policy>.json per cell and hard-fails
+// (nonzero) if the balanced policy does not beat the adversarial one on
+// makespan.
+inline int run_mapper_matrix(const Bench& bench, uint32_t nodes,
+                             const BuildFn& build) {
+  exec::CostModel cost = exec::CostModel::piz_daint();
+  cost.track_dependences = false;
+  auto run = [&](const MatrixCell& cell) {
+    rt::RuntimeConfig rc = exec::runtime_config(cell.nodes, 12, cost,
+                                                /*real_data=*/false);
+    cell.apply(rc);
+    rt::Runtime rt(rc);
+    exec::ExecConfig ecfg = bench.config(exec::ExecMode::kSpmd, cost);
+    ecfg.mapper = cell.mapper;
+    ecfg.workers = cell.workers;
+    ecfg.check = true;
+    return run_timing(rt, build(rt, cell.nodes, /*steps=*/3), ecfg);
+  };
   const std::vector<std::string> policies = {"default", "balanced",
                                              "adversarial"};
   std::map<std::string, sim::Time> makespans;

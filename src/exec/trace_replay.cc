@@ -106,28 +106,25 @@ void TraceReplay::invalidate() {
 void TraceReplay::record(uint64_t fingerprint, uint64_t op_id,
                          const rt::Requirement& req, sim::Event completion,
                          std::vector<sim::Event>& pre) {
-  completion_of_.emplace(op_id, completion);
-
   if (replay_active_) {
     if (replay_idx_ < tmpl_.size() && tmpl_[replay_idx_].fp == fingerprint) {
       const Entry& e = tmpl_[replay_idx_];
       ++replay_idx_;
-      cover_scratch_.clear();
-      for (const CoverRef& c : e.covers) {
-        cover_scratch_.push_back({c.field, resolve(c.op, op_id), c.region,
-                                  c.privilege, c.redop, c.retired});
+      outcome_scratch_.dep_ops.clear();
+      for (const OpRef& d : e.deps) {
+        outcome_scratch_.dep_ops.push_back(resolve(d, op_id));
       }
-      const uint64_t scanned =
-          deps_.replay(op_id, req, completion, cover_scratch_, e.found);
+      outcome_scratch_.covers.clear();
+      for (const CoverRef& c : e.covers) {
+        outcome_scratch_.covers.push_back({c.field, resolve(c.op, op_id),
+                                           c.region, c.privilege, c.redop,
+                                           c.retired});
+      }
+      const uint64_t scanned = deps_.replay(op_id, req, completion,
+                                            outcome_scratch_, e.found, pre);
       CR_CHECK_MSG(scanned == e.scanned,
                    "trace replay: pairs_scanned diverged from the captured "
                    "iteration");
-      for (const OpRef& d : e.deps) {
-        auto it = completion_of_.find(resolve(d, op_id));
-        CR_CHECK_MSG(it != completion_of_.end(),
-                     "trace replay: predecessor op unknown");
-        pre.push_back(it->second);
-      }
       pairs_skipped_ += scanned;
       return;
     }

@@ -12,7 +12,9 @@
 // each requirement, and once two consecutive iterations produce
 // identical fingerprints AND identical encoded outcomes, installs an
 // immutable TraceTemplate. Subsequent iterations replay the template:
-// preconditions are resolved from op ids, epoch-pruning coverage steps
+// preconditions are resolved from op ids against the tracker's live
+// users (a dependence is only ever found against a live user, so no
+// record of past completions is kept), epoch-pruning coverage steps
 // (partial covers and retirements) are applied by identity, and the
 // tracker's live state is maintained throughout — so a fingerprint miss
 // at ANY operation invalidates the template and falls back to analysis
@@ -45,7 +47,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "rt/dependence.h"
@@ -149,10 +150,8 @@ class TraceReplay {
   bool have_tmpl_ = false;
   uint64_t tmpl_forest_sig_ = 0;
   size_t replay_idx_ = 0;
-  // Every recorded op's completion event, for resolving replayed
-  // precondition references (ids are unique per execution).
-  std::unordered_map<uint64_t, sim::Event, support::U64Hash> completion_of_;
-  std::vector<rt::DependenceTracker::Capture::Cover> cover_scratch_;
+  // The template entry being replayed, with its op references resolved.
+  rt::DependenceTracker::Capture outcome_scratch_;
 
   uint64_t captures_ = 0;
   uint64_t replays_ = 0;

@@ -71,12 +71,19 @@ std::vector<sim::Event> DependenceTracker::record(uint64_t op_id,
 
 uint64_t DependenceTracker::replay(uint64_t op_id, const Requirement& req,
                                    sim::Event completion,
-                                   const std::vector<Capture::Cover>& covers,
-                                   uint64_t found) {
+                                   const Capture& outcome, uint64_t found,
+                                   std::vector<sim::Event>& preconditions) {
   const RegionNode& node = forest_->region(req.region);
   const support::IntervalSet& pts = node.ispace.points();
   support::Interval query{0, 0};
   if (!pts.empty()) query = pts.bounds();
+
+  const std::vector<uint64_t>& deps = outcome.dep_ops;
+  const std::vector<Capture::Cover>& covers = outcome.covers;
+  const size_t base = preconditions.size();
+  preconditions.resize(base + deps.size());
+  resolved_.assign(deps.size(), false);
+  size_t unresolved = deps.size();
 
   uint64_t scanned = 0;
   size_t k = 0;  // next coverage step; record() emits them field by field
@@ -88,17 +95,31 @@ uint64_t DependenceTracker::replay(uint64_t op_id, const Requirement& req,
     const uint64_t self_live = st.last_op == op_id ? st.last_op_live : 0;
     scanned += st.alive - self_live;
 
-    if (k < covers.size() && covers[k].field == f) {
-      // This field's steps are a subsequence of the candidates in slot
-      // order, so one forward walk matches each step to its user (users
-      // with the same identity are registered back to back and always
-      // share their coverage, so the first live match is the right one).
+    // Every predecessor overlaps the requirement, so it is among the
+    // candidates of a field it was found through. This field's coverage
+    // steps are a subsequence of the candidates in slot order, so one
+    // forward walk also matches each step to its user (users with the
+    // same identity are registered back to back and always share their
+    // coverage, so the first live match is the right one).
+    auto covers_here = [&] {
+      return k < covers.size() && covers[k].field == f;
+    };
+    if (unresolved > 0 || covers_here()) {
       collect_candidates(st, query);
       for (uint32_t idx : cand_) {
-        if (k == covers.size() || covers[k].field != f) break;
-        const Capture::Cover& c = covers[k];
+        if (unresolved == 0 && !covers_here()) break;
         User& u = st.slots[idx];
-        if (!u.alive || u.op_id != c.op_id || u.region != c.region ||
+        if (!u.alive || u.op_id == op_id) continue;
+        // Resolve before covering: this step may retire the user.
+        for (size_t d = 0; unresolved > 0 && d < deps.size(); ++d) {
+          if (deps[d] != u.op_id || resolved_[d]) continue;
+          preconditions[base + d] = u.completion;
+          resolved_[d] = true;
+          --unresolved;
+        }
+        if (!covers_here()) continue;
+        const Capture::Cover& c = covers[k];
+        if (u.op_id != c.op_id || u.region != c.region ||
             u.privilege != c.privilege || u.redop != c.redop) {
           continue;
         }
@@ -109,7 +130,7 @@ uint64_t DependenceTracker::replay(uint64_t op_id, const Requirement& req,
                      "iteration");
         ++k;
       }
-      CR_CHECK_MSG(k == covers.size() || covers[k].field != f,
+      CR_CHECK_MSG(!covers_here(),
                    "trace replay covered a user that is not live");
     }
 
@@ -118,6 +139,8 @@ uint64_t DependenceTracker::replay(uint64_t op_id, const Requirement& req,
   }
   CR_CHECK_MSG(k == covers.size(),
                "trace replay covered a field the requirement lacks");
+  CR_CHECK_MSG(unresolved == 0,
+               "trace replay: a predecessor is not a live user");
   pairs_scanned_ += scanned;
   dependences_found_ += found;
   return scanned;

@@ -100,20 +100,26 @@ class DependenceTracker {
 
   // Replay a previously captured record() outcome without testing:
   // charges pairs_scanned exactly as the exhaustive scan would (from the
-  // live state, not the capture), applies the given coverage steps
+  // live state, not the capture), applies the captured coverage steps
   // (CR_CHECKing that each retires its user exactly when it did at
   // capture), counts `found` dependences, and registers the new user —
   // leaving the tracker in the same state an analyzed record() would
-  // have, so analysis can resume at any later operation. No conflict is
-  // tested and pairs_tested is untouched (that is the host-time win);
-  // the interval index is only queried to locate covered users. Returns
-  // the pairs_scanned delta so the caller can cross-check it against
-  // the captured value; a mismatch means the launch stream left steady
-  // state without a fingerprint change, which callers must treat as a
-  // hard error, not an invalidation.
+  // have, so analysis can resume at any later operation. Appends the
+  // completion events of the captured predecessors (`outcome.dep_ops`)
+  // to `preconditions`, in captured order — what record() would have
+  // returned. They resolve from the live users: a dependence is only
+  // ever found against a live user, and each predecessor's slot is
+  // matched before this call's coverage steps can retire it. No
+  // conflict is tested and pairs_tested is untouched (that is the
+  // host-time win); the interval index is only queried to locate
+  // predecessors and covered users. Returns the pairs_scanned delta so
+  // the caller can cross-check it against the captured value; a
+  // mismatch means the launch stream left steady state without a
+  // fingerprint change, which callers must treat as a hard error, not
+  // an invalidation.
   uint64_t replay(uint64_t op_id, const Requirement& req,
-                  sim::Event completion,
-                  const std::vector<Capture::Cover>& covers, uint64_t found);
+                  sim::Event completion, const Capture& outcome,
+                  uint64_t found, std::vector<sim::Event>& preconditions);
 
   // Clear all user lists (between independent executions).
   void reset();
@@ -186,6 +192,7 @@ class DependenceTracker {
   std::vector<uint32_t> cand_;   // scratch: candidate slot indices
   std::vector<uint64_t> hits_;   // scratch: raw interval-tree payloads
   std::vector<uint32_t> remap_;  // scratch: slot index after compaction
+  std::vector<bool> resolved_;   // scratch: replay's predecessors found
   bool linear_ = false;
   uint64_t pairs_tested_ = 0;
   uint64_t pairs_scanned_ = 0;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "rt/partition.h"
@@ -240,16 +241,16 @@ TEST(Dependence, StatsCountPairs) {
 
 // Capture/replay roundtrip at the tracker level: a second tracker fed
 // the captured outcomes through replay() must end in the same state,
-// return the same preconditions (resolved from captured op ids in
-// captured order), and charge the same pairs_scanned — while testing
-// zero pairs itself.
+// return the same preconditions (resolved from its own live users, in
+// captured order — including a predecessor the same record retires),
+// and charge the same pairs_scanned — while testing zero pairs itself.
 TEST(Dependence, ReplayReproducesCapturedAnalysis) {
   Fixture f;
   DependenceTracker analyzed(f.forest);
   DependenceTracker replayed(f.forest);
   std::vector<sim::UserEvent> events;
   events.reserve(16);
-  std::map<uint64_t, sim::Event> completion_of;
+  bool retired_a_predecessor = false;
 
   const Privilege privs[] = {Privilege::kReadOnly, Privilege::kReadWrite,
                              Privilege::kReadOnly, Privilege::kReadWrite,
@@ -260,7 +261,6 @@ TEST(Dependence, ReplayReproducesCapturedAnalysis) {
   for (uint64_t op = 1; op <= 6; ++op) {
     events.emplace_back(f.sim);
     const sim::Event done = events.back().event();
-    completion_of[op] = done;
     const Requirement req = f.req(targets[op - 1], privs[op - 1]);
 
     DependenceTracker::Capture cap;
@@ -269,13 +269,18 @@ TEST(Dependence, ReplayReproducesCapturedAnalysis) {
     const auto pre = analyzed.record(op, req, done, &cap);
     const uint64_t found = analyzed.dependences_found() - found0;
 
-    const uint64_t scanned =
-        replayed.replay(op, req, done, cap.covers, found);
-    EXPECT_EQ(scanned, analyzed.pairs_scanned() - scanned0) << "op " << op;
     std::vector<sim::Event> resolved;
-    for (uint64_t dep : cap.dep_ops) resolved.push_back(completion_of[dep]);
+    const uint64_t scanned =
+        replayed.replay(op, req, done, cap, found, resolved);
+    EXPECT_EQ(scanned, analyzed.pairs_scanned() - scanned0) << "op " << op;
     EXPECT_EQ(resolved, pre) << "op " << op;
+    for (const auto& c : cap.covers) {
+      retired_a_predecessor |=
+          c.retired && std::find(cap.dep_ops.begin(), cap.dep_ops.end(),
+                                 c.op_id) != cap.dep_ops.end();
+    }
   }
+  EXPECT_TRUE(retired_a_predecessor);
   EXPECT_EQ(replayed.pairs_scanned(), analyzed.pairs_scanned());
   EXPECT_EQ(replayed.dependences_found(), analyzed.dependences_found());
   EXPECT_EQ(replayed.pairs_tested(), 0u);
@@ -313,8 +318,9 @@ TEST(Dependence, ReplayReproducesPartialCover) {
     const Requirement& req = reqs[op - 1];
     const uint64_t found0 = analyzed.dependences_found();
     analyzed.record(op, req, events.back().event(), &caps[op - 1]);
-    replayed.replay(op, req, events.back().event(), caps[op - 1].covers,
-                    analyzed.dependences_found() - found0);
+    std::vector<sim::Event> pre;
+    replayed.replay(op, req, events.back().event(), caps[op - 1],
+                    analyzed.dependences_found() - found0, pre);
     EXPECT_EQ(replayed.pairs_scanned(), analyzed.pairs_scanned())
         << "op " << op;
   }
@@ -347,14 +353,34 @@ TEST(DependenceDeath, ReplayDivergentCoverAborts) {
   const RegionId spanning = f.forest.subregion(halves, 0);
   deps.record(1, f.req(spanning, Privilege::kReadOnly), e1.event());
   // One piece of two cannot retire the spanning reader.
-  const std::vector<DependenceTracker::Capture::Cover> wrong{
-      {f.v, 1, spanning, Privilege::kReadOnly, ReduceOp::kSum,
-       /*retired=*/true}};
+  DependenceTracker::Capture wrong;
+  wrong.dep_ops = {1};
+  wrong.covers = {{f.v, 1, spanning, Privilege::kReadOnly, ReduceOp::kSum,
+                   /*retired=*/true}};
+  std::vector<sim::Event> pre;
   EXPECT_DEATH(deps.replay(2,
                            f.req(f.forest.subregion(f.p, 0),
                                  Privilege::kReadWrite),
-                           e2.event(), wrong, 1),
+                           e2.event(), wrong, 1, pre),
                "coverage diverged");
+}
+
+// A replayed predecessor that is not a live user cannot come from the
+// captured iteration: it aborts instead of dropping the dependence.
+TEST(DependenceDeath, ReplayUnknownPredecessorAborts) {
+  Fixture f;
+  DependenceTracker deps(f.forest);
+  sim::UserEvent e1(f.sim), e2(f.sim);
+  deps.record(1, f.req(f.forest.subregion(f.p, 0), Privilege::kReadWrite),
+              e1.event());
+  DependenceTracker::Capture wrong;
+  wrong.dep_ops = {7};  // never recorded
+  std::vector<sim::Event> pre;
+  EXPECT_DEATH(deps.replay(2,
+                           f.req(f.forest.subregion(f.p, 0),
+                                 Privilege::kReadOnly),
+                           e2.event(), wrong, 1, pre),
+               "predecessor is not a live user");
 }
 
 // The rebuild amortization must be bounded by accumulated tail-scan
